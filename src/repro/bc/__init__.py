@@ -18,10 +18,12 @@ from .frontier import ForwardResult, forward_sweep
 from .hybrid import DEFAULT_ALPHA, DEFAULT_BETA, select_strategy
 from .preprocess import (
     FOLD_SCHEMA,
+    FoldPlan,
     FoldResult,
     fold_degree_one,
     folded_betweenness_centrality,
     per_root_correction,
+    plan_fold,
 )
 from .policies import (
     EDGE_PARALLEL,
@@ -65,10 +67,12 @@ __all__ = [
     "accumulate_level",
     "run_root",
     "FOLD_SCHEMA",
+    "FoldPlan",
     "FoldResult",
     "fold_degree_one",
     "folded_betweenness_centrality",
     "per_root_correction",
+    "plan_fold",
     "bc_work_efficient",
     "work_efficient_root",
     "WorkEfficientState",

@@ -16,7 +16,7 @@ from ..graph.csr import CSRGraph
 from .accumulation import dependency_accumulation
 from .brandes import normalize_bc
 from .frontier import forward_sweep
-from .preprocess import FoldResult, fold_degree_one, per_root_correction
+from .preprocess import plan_fold
 
 __all__ = ["betweenness_centrality", "bc_single_source_dependencies"]
 
@@ -28,18 +28,11 @@ def bc_single_source_dependencies(g: CSRGraph, source: int) -> np.ndarray:
     return dependency_accumulation(g, fwd)
 
 
-def _core_dependencies(fold: FoldResult, core_root: int) -> np.ndarray:
-    """One weighted traversal on the folded core."""
-    fwd = forward_sweep(fold.core, int(core_root))
-    return dependency_accumulation(fold.core, fwd,
-                                   target_weights=fold.core_weights)
-
-
 def betweenness_centrality(
     g: CSRGraph,
     sources=None,
     normalized: bool = False,
-    fold: bool | FoldResult = True,
+    fold: bool = True,
 ) -> np.ndarray:
     """Exact betweenness centrality of every vertex.
 
@@ -60,12 +53,12 @@ def betweenness_centrality(
     normalized:
         Divide by the maximum possible score (Section II-B).
     fold:
-        Apply the degree-1 folding preprocess (on by default; exact to
-        float round-off — see :mod:`repro.bc.preprocess`).  Pass
-        ``False`` to traverse the original graph, or a precomputed
-        :class:`~repro.bc.preprocess.FoldResult` for ``g`` to skip
-        re-folding.  Identity folds (directed or pendant-free graphs)
-        take the classic unfolded path automatically.
+        ``True`` (default) applies the degree-1 folding preprocess
+        (exact to float round-off — see :mod:`repro.bc.preprocess`);
+        ``False`` traverses the original graph.  The fold is computed
+        once per graph and memoised.  Identity folds (directed or
+        pendant-free graphs) take the classic unfolded path
+        automatically.
 
     Returns
     -------
@@ -79,42 +72,23 @@ def betweenness_centrality(
     3
     """
     n = g.num_vertices
-    bc = np.zeros(n, dtype=np.float64)
-    if sources is None:
-        roots = range(n)
-    else:
+    roots = None
+    if sources is not None:
         roots = np.asarray(sources, dtype=np.int64).ravel()
         if roots.size == 0:
-            return bc
+            return np.zeros(n, dtype=np.float64)
         if roots.min() < 0 or roots.max() >= n:
             raise IndexError(f"roots out of range [0, {n})")
 
-    fold_result: FoldResult | None = None
-    if isinstance(fold, FoldResult):
-        fold_result = fold
-    elif fold:
-        fold_result = fold_degree_one(g)
-    if fold_result is not None and not fold_result.is_identity:
-        if sources is None:
-            # Full BC: one weighted traversal per *core* root, each
-            # counted with its absorbed subtree weight, plus the fold's
-            # closed-form credits.
-            tw = fold_result.core_weights
-            acc = np.zeros(fold_result.core.num_vertices, dtype=np.float64)
-            for cs in range(fold_result.core.num_vertices):
-                acc += tw[cs] * _core_dependencies(fold_result, cs)
-            bc = fold_result.expand(acc) + fold_result.credit
-        else:
-            # Subset roots: one weighted traversal from each root's
-            # residual host plus its per-root correction — exact for
-            # the unscaled partial sum, still traversing only the core.
-            for a in roots:
-                cr, corr = per_root_correction(fold_result, int(a))
-                bc += fold_result.expand(_core_dependencies(fold_result, cr))
-                bc += corr
-    else:
-        for s in roots:
-            bc += bc_single_source_dependencies(g, int(s))
+    # Unfolded plans traverse ``g`` itself with unit weights, so this
+    # is the classic Brandes sum over roots.
+    plan = plan_fold(g, roots, fold)
+    acc = np.zeros(plan.graph.num_vertices, dtype=np.float64)
+    for s in plan.roots:
+        fwd = forward_sweep(plan.graph, int(s))
+        acc += plan.source_weight(s) * dependency_accumulation(
+            plan.graph, fwd, target_weights=plan.target_weights)
+    bc = plan.finish(acc)
     if g.undirected:
         bc /= 2.0
     if normalized:

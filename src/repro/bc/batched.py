@@ -30,7 +30,7 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
 from .brandes import normalize_bc
-from .preprocess import FoldResult, fold_degree_one, per_root_correction
+from .preprocess import FoldPlan, plan_fold
 
 __all__ = ["batched_betweenness_centrality", "batched_dependencies"]
 
@@ -134,21 +134,18 @@ def batched_dependencies(g: CSRGraph, roots: np.ndarray,
     return delta
 
 
-def _engine_retry(g: CSRGraph, batch: np.ndarray, metrics,
-                  target_weights: np.ndarray | None = None,
-                  row_weights: np.ndarray | None = None) -> np.ndarray:
+def _engine_retry(plan: FoldPlan, batch: np.ndarray, metrics) -> np.ndarray:
     """Per-root-engine fallback for one overflowed batch; the caller's
     metrics registry sees both the retry counter and the traversals."""
     from .accumulation import dependency_accumulation
     from .frontier import forward_sweep
 
     metrics.inc("batched.overflow_retries")
-    contrib = np.zeros(g.num_vertices, dtype=np.float64)
-    for j, s in enumerate(batch):
-        fwd = forward_sweep(g, int(s), metrics=metrics)
-        delta = dependency_accumulation(g, fwd,
-                                        target_weights=target_weights)
-        contrib += delta if row_weights is None else row_weights[j] * delta
+    contrib = np.zeros(plan.graph.num_vertices, dtype=np.float64)
+    for s in batch:
+        fwd = forward_sweep(plan.graph, int(s), metrics=metrics)
+        contrib += plan.source_weight(s) * dependency_accumulation(
+            plan.graph, fwd, target_weights=plan.target_weights)
     return contrib
 
 
@@ -158,7 +155,7 @@ def batched_betweenness_centrality(
     batch_size: int = 64,
     normalized: bool = False,
     metrics=None,
-    fold: bool | FoldResult = True,
+    fold: bool = True,
 ) -> np.ndarray:
     """Exact BC computed in root batches of ``batch_size``.
 
@@ -169,71 +166,37 @@ def batched_betweenness_centrality(
     ``metrics`` (an optional
     :class:`~repro.observability.MetricsRegistry`) is threaded through
     the sigma-overflow fallback too, counting ``batched.overflow_retries``
-    per retried batch.  ``fold`` applies the degree-1 preprocess
-    (default on; identity folds take the unfolded path).
+    per retried batch.  ``fold=True`` (default) applies the degree-1
+    preprocess, memoised per graph; ``False`` traverses ``g`` itself.
+    Identity folds take the unfolded path.
     """
     n = g.num_vertices
     if metrics is None:
         metrics = NULL_REGISTRY
-    if sources is None:
-        roots = np.arange(n, dtype=np.int64)
-    else:
+    roots = None
+    if sources is not None:
         roots = np.asarray(sources, dtype=np.int64).ravel()
         if roots.size and (roots.min() < 0 or roots.max() >= n):
             raise IndexError(f"roots out of range [0, {n})")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
-    fold_result: FoldResult | None = None
-    if isinstance(fold, FoldResult):
-        fold_result = fold
-    elif fold:
-        fold_result = fold_degree_one(g)
-
-    if fold_result is not None and not fold_result.is_identity:
-        core = fold_result.core
-        tw = fold_result.core_weights
-        if sources is None:
-            run_roots = np.arange(core.num_vertices, dtype=np.int64)
-            row_weights = tw
-            extra = fold_result.credit
-        else:
-            if roots.size == 0:
-                return np.zeros(n, dtype=np.float64)
-            run_roots = np.empty(roots.size, dtype=np.int64)
-            extra = np.zeros(n, dtype=np.float64)
-            for i, a in enumerate(roots):
-                cr, corr = per_root_correction(fold_result, int(a))
-                run_roots[i] = cr
-                extra += corr
-            row_weights = np.ones(run_roots.size, dtype=np.float64)
-        A = _adjacency(core) if run_roots.size else None
-        acc = np.zeros(core.num_vertices, dtype=np.float64)
-        for lo in range(0, run_roots.size, batch_size):
-            batch = run_roots[lo:lo + batch_size]
-            w_rows = row_weights[lo:lo + batch_size]
-            try:
-                delta = batched_dependencies(core, batch, A=A,
-                                             target_weights=tw)
-                acc += (w_rows[:, None] * delta).sum(axis=0)
-            except FloatingPointError:
-                acc += _engine_retry(core, batch, metrics,
-                                     target_weights=tw, row_weights=w_rows)
-        bc = fold_result.expand(acc) + extra
-    else:
-        A = _adjacency(g) if roots.size else None
-        bc = np.zeros(n, dtype=np.float64)
-        for lo in range(0, roots.size, batch_size):
-            batch = roots[lo:lo + batch_size]
-            try:
-                delta = batched_dependencies(g, batch, A=A)
-                contrib = delta.sum(axis=0)
-            except FloatingPointError:
-                # Deep traversal overflowed the batched float64 counts;
-                # the per-root engine rescales sigma per level and is
-                # exact — and keeps charging the same registry.
-                contrib = _engine_retry(g, batch, metrics)
-            bc += contrib
+    plan = plan_fold(g, roots, fold)
+    run_g, run_roots = plan.graph, plan.roots
+    A = _adjacency(run_g) if run_roots.size else None
+    acc = np.zeros(run_g.num_vertices, dtype=np.float64)
+    for lo in range(0, run_roots.size, batch_size):
+        batch = run_roots[lo:lo + batch_size]
+        try:
+            delta = batched_dependencies(run_g, batch, A=A,
+                                         target_weights=plan.target_weights)
+            acc += plan.weighted_sum(batch, delta)
+        except FloatingPointError:
+            # Deep traversal overflowed the batched float64 counts; the
+            # per-root engine rescales sigma per level and is exact —
+            # and keeps charging the same registry.
+            acc += _engine_retry(plan, batch, metrics)
+    bc = plan.finish(acc)
     if g.undirected:
         bc /= 2.0
     if normalized:

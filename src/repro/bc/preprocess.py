@@ -46,8 +46,15 @@ exactly — see :func:`per_root_correction`.
 
 Directed graphs fold to the identity (pendant peeling is only exact
 under the undirected path symmetry), as do graphs with no pendant
-vertices; identity folds let callers keep their legacy code path
-byte-for-byte.
+vertices.
+
+Each graph folds once: :func:`fold_degree_one` memoises its result on
+the frozen :class:`~repro.graph.csr.CSRGraph`, and :func:`plan_fold`
+turns it into the one :class:`FoldPlan` every entry point runs from —
+the graph to traverse, its roots and weights, and the ``finish`` step
+back to original ids.  Unfolded runs and identity folds get a plan
+whose ``finish`` returns its input unchanged, so they keep their
+legacy arithmetic byte-for-byte.
 """
 
 from __future__ import annotations
@@ -62,8 +69,10 @@ from ..graph.csr import CSRGraph
 
 __all__ = [
     "FOLD_SCHEMA",
+    "FoldPlan",
     "FoldResult",
     "fold_degree_one",
+    "plan_fold",
     "per_root_correction",
     "folded_betweenness_centrality",
 ]
@@ -118,8 +127,8 @@ class FoldResult:
 
     @property
     def is_identity(self) -> bool:
-        """True when folding removed nothing — callers should take
-        their unfolded code path (identical work, zero overhead)."""
+        """True when folding removed nothing; :func:`plan_fold` then
+        plans the unfolded run (identical work, zero overhead)."""
         return self.num_folded == 0
 
     @property
@@ -195,8 +204,18 @@ def fold_degree_one(g: CSRGraph) -> FoldResult:
     stays as an isolated residual vertex.  Trees therefore fold to one
     residual vertex per component.
 
-    Directed graphs return the identity fold.
+    Directed graphs return the identity fold.  The result is memoised
+    on ``g`` (the graph is immutable), so every caller of one graph
+    shares a single peel.
     """
+    cached = g.__dict__.get("_fold")
+    if cached is None:
+        cached = _peel(g)
+        object.__setattr__(g, "_fold", cached)
+    return cached
+
+
+def _peel(g: CSRGraph) -> FoldResult:
     n = g.num_vertices
     if n == 0 or not g.undirected:
         return _identity_fold(g)
@@ -318,6 +337,77 @@ def per_root_correction(fold: FoldResult, root: int) -> tuple[int, np.ndarray]:
         p = q
     core_root = int(fold.core_index[fold.host[root]])
     return core_root, corr
+
+
+@dataclass(frozen=True)
+class FoldPlan:
+    """One run's traversal, folded or not, and the way back.
+
+    Attributes
+    ----------
+    graph: the graph to traverse (the core when folded).
+    roots: traversal roots in ``graph``'s ids — every vertex for full
+        runs, each explicit root's residual host otherwise.
+    fold: the fold applied (``None`` when unfolded or identity).
+    target_weights: per-vertex endpoint weights for weighted
+        accumulation (``None`` when unfolded).
+    source_weights: per-vertex source multiplicities, indexed by root
+        id (``None`` when unfolded or for explicit roots).
+    extra: ordered-pair vector :meth:`finish` adds after expanding —
+        the fold credit (full runs) or the summed per-root corrections.
+    """
+
+    graph: CSRGraph
+    roots: np.ndarray
+    fold: FoldResult | None = None
+    target_weights: np.ndarray | None = None
+    source_weights: np.ndarray | None = None
+    extra: np.ndarray | None = None
+
+    def source_weight(self, root) -> float:
+        """How many original sources traversal root ``root`` stands for."""
+        if self.source_weights is None:
+            return 1.0
+        return float(self.source_weights[int(root)])
+
+    def weighted_sum(self, batch: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Sum of a batch's ``(k, n)`` dependency rows, each scaled by
+        its root's :meth:`source_weight`."""
+        if self.source_weights is None:
+            return delta.sum(axis=0)
+        return (self.source_weights[batch][:, None] * delta).sum(axis=0)
+
+    def finish(self, values: np.ndarray) -> np.ndarray:
+        """Turn accumulated ``graph``-space values (ordered pairs) into
+        original-id values; unfolded plans return ``values`` itself."""
+        if self.fold is None:
+            return values
+        return self.fold.expand(values) + self.extra
+
+
+def plan_fold(g: CSRGraph, roots=None, fold: bool = True) -> FoldPlan:
+    """Plan a BC run over ``roots`` (original ids; ``None`` = all).
+
+    With ``fold`` and a non-identity fold, full runs traverse every
+    core vertex weighted by its absorbed subtree and finish with the
+    fold credit; explicit roots each traverse from their residual host
+    and finish with their summed :func:`per_root_correction`.
+    """
+    result = fold_degree_one(g) if fold else None
+    if result is None or result.is_identity:
+        if roots is None:
+            roots = np.arange(g.num_vertices, dtype=np.int64)
+        return FoldPlan(g, np.asarray(roots, dtype=np.int64))
+    core, tw = result.core, result.core_weights
+    if roots is None:
+        return FoldPlan(core, np.arange(core.num_vertices, dtype=np.int64),
+                        result, tw, tw, result.credit)
+    run_roots = np.empty(len(roots), dtype=np.int64)
+    extra = np.zeros(g.num_vertices, dtype=np.float64)
+    for i, a in enumerate(roots):
+        run_roots[i], corr = per_root_correction(result, int(a))
+        extra += corr
+    return FoldPlan(core, run_roots, result, tw, None, extra)
 
 
 def folded_betweenness_centrality(fold: FoldResult,

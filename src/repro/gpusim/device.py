@@ -36,7 +36,7 @@ from ..bc.policies import (
     FrontierGuardPolicy,
     HybridPolicy,
 )
-from ..bc.preprocess import FoldResult, fold_degree_one, per_root_correction
+from ..bc.preprocess import FoldPlan, FoldResult, plan_fold
 from ..bc.sampling import (
     DEFAULT_GAMMA,
     DEFAULT_MIN_FRONTIER,
@@ -153,13 +153,16 @@ class DeviceRun:
         return self.extrapolated_teps(total_roots) / 1e6
 
 
-def _run_root(*args, **kwargs):
-    """Deferred import of the per-root engine (breaks the bc <-> gpusim
-    import cycle: the engine needs the cost model's types, the device
-    needs the engine's entry point)."""
+def _run_root(plan: FoldPlan, s, bc, policy, costs, chunk, **kwargs):
+    """Root ``s`` of ``plan`` through the per-root engine, weighted as
+    the plan says.  The import is deferred to break the bc <-> gpusim
+    cycle: the engine needs the cost model's types, the device needs
+    the engine's entry point."""
     from ..bc.engine import run_root
 
-    return run_root(*args, **kwargs)
+    return run_root(plan.graph, int(s), bc, policy, costs, chunk,
+                    source_weight=plan.source_weight(s),
+                    target_weights=plan.target_weights, **kwargs)
 
 
 class _RunObserver:
@@ -177,21 +180,18 @@ class _RunObserver:
     returned as healthy.
     """
 
-    def __init__(self, device: "Device", g: CSRGraph,
+    def __init__(self, device: "Device", plan: FoldPlan,
                  policy: VerificationPolicy, metrics):
         self.device = device
-        self.g = g
+        #: The run's fold plan: traversed graph plus the weights the
+        #: per-root checks must account for on folded cores.
+        self.plan = plan
         self.policy = policy
         self.checker = RootChecker(policy, metrics) if policy.enabled else None
         self.metrics = metrics
         #: Sum of every accepted root's dependencies — the reference the
         #: final partial-BC checksum is validated against.
         self.expected_sum = 0.0
-        #: Weighted-traversal context for degree-1 folded runs: the
-        #: core's target-weight vector and (full runs only) the
-        #: per-core-root source weights the engine pre-scales delta by.
-        self.target_weights: np.ndarray | None = None
-        self.source_weights: np.ndarray | None = None
         self._pos = 0
         self._events: list = []
 
@@ -215,12 +215,11 @@ class _RunObserver:
         self._events = []
         self._pos += 1
         if self.checker is not None and self.policy.checks_root(fwd.source):
-            sw = (1.0 if self.source_weights is None
-                  else float(self.source_weights[fwd.source]))
             t0 = time.perf_counter()
             violations = self.checker.check_root(
-                self.g, fwd, delta, target_weights=self.target_weights,
-                source_weight=sw)
+                self.plan.graph, fwd, delta,
+                target_weights=self.plan.target_weights,
+                source_weight=self.plan.source_weight(fwd.source))
             self.metrics.inc("verify.overhead_seconds",
                              time.perf_counter() - t0)
             if violations:
@@ -310,7 +309,7 @@ class Device:
         check_memory: bool = True,
         metrics=None,
         verify="off",
-        fold: bool | FoldResult = True,
+        fold: bool = True,
     ) -> DeviceRun:
         """Run BC on the device under ``strategy``.
 
@@ -334,15 +333,15 @@ class Device:
             graphs — dense frontiers, BLAS-shaped work); deep graphs
             fall back to per-root work-efficient traversal.
         fold:
-            Apply the degree-1 folding preprocess before traversal (on
-            by default; exact — see :mod:`repro.bc.preprocess`).  Pass
-            ``False`` for the original graph, or a precomputed
-            :class:`~repro.bc.preprocess.FoldResult` to skip
-            re-folding.  Identity folds (directed or pendant-free
-            graphs) take the legacy path unchanged.  When a non-trivial
-            fold is active every strategy traverses the residual core
-            (weighted traversals; per-root host traversals for explicit
-            ``roots``), trace entries are in core vertex ids, and
+            ``True`` (default) applies the degree-1 folding preprocess
+            before traversal (exact — see :mod:`repro.bc.preprocess`;
+            computed once per graph and memoised); ``False`` traverses
+            the original graph.  Identity folds (directed or
+            pendant-free graphs) take the legacy path unchanged.  When
+            a non-trivial fold is active every strategy traverses the
+            residual core (weighted traversals; per-root host
+            traversals for explicit ``roots``), trace entries are in
+            core vertex ids, and
             :meth:`DeviceRun.extrapolated_seconds` extrapolates in
             core-traversal units.
         strict_reader:
@@ -397,37 +396,8 @@ class Device:
                 )
 
         # -- degree-1 folding: pick the graph the kernels traverse -----
-        fold_result: FoldResult | None = None
-        if isinstance(fold, FoldResult):
-            fold_result = fold
-        elif fold:
-            fold_result = fold_degree_one(g)
-        folded = fold_result is not None and not fold_result.is_identity
-        if folded:
-            run_g = fold_result.core
-            target_weights = fold_result.core_weights
-            if full_run:
-                # Every core root once, weighted by its absorbed
-                # subtree; credits close the folded vertices' scores.
-                run_roots = np.arange(run_g.num_vertices, dtype=np.int64)
-                source_weights = target_weights
-                post_extra = fold_result.credit
-            else:
-                # Explicit roots: one weighted traversal from each
-                # root's residual host plus its closed-form correction.
-                run_roots = np.empty(roots.size, dtype=np.int64)
-                post_extra = np.zeros(n, dtype=np.float64)
-                for i, a in enumerate(roots):
-                    cr, corr = per_root_correction(fold_result, int(a))
-                    run_roots[i] = cr
-                    post_extra += corr
-                source_weights = None
-        else:
-            run_g = g
-            run_roots = roots
-            target_weights = None
-            source_weights = None
-            post_extra = None
+        plan = plan_fold(g, None if full_run else roots, fold)
+        run_g, fold_result = plan.graph, plan.fold
 
         memory_report: dict = {}
         if check_memory:
@@ -446,9 +416,7 @@ class Device:
         verify_policy = VerificationPolicy.coerce(verify)
         observer = None
         if verify_policy.enabled or self._sdc_pending():
-            observer = _RunObserver(self, run_g, verify_policy, metrics)
-            observer.target_weights = target_weights
-            observer.source_weights = source_weights
+            observer = _RunObserver(self, plan, verify_policy, metrics)
 
         params = {"strategy": strategy, "device": self.spec.name,
                   "num_vertices": int(n), "num_edges": int(g.num_edges),
@@ -464,13 +432,13 @@ class Device:
         elif strategy == "batched":
             params.update(n_samps=int(n_samps), gamma=float(gamma),
                           batch_size=int(batch_size))
-        if folded:
+        if fold_result is not None:
             params.update(folded=True,
                           core_vertices=int(run_g.num_vertices),
                           folded_vertices=int(fold_result.num_folded),
                           fold_rounds=int(fold_result.rounds),
                           fold_digest=fold_result.digest(),
-                          core_traversals=int(run_roots.size))
+                          core_traversals=int(plan.roots.size))
         metrics.record("run.params", **params)
 
         fixed_cycles = 0.0
@@ -479,42 +447,32 @@ class Device:
         with metrics.span("device.run_bc", strategy=strategy,
                           device=self.spec.name):
             if strategy == GPU_FAN:
-                run = self._run_gpu_fan(run_g, run_roots, bc, chunk, metrics,
-                                        observer=observer,
-                                        target_weights=target_weights,
-                                        source_weights=source_weights)
+                run = self._run_gpu_fan(plan, bc, chunk, metrics,
+                                        observer=observer)
             elif strategy == "sampling":
-                run = self._run_sampling(run_g, run_roots, bc, chunk, n_samps,
-                                         gamma, min_frontier, metrics,
-                                         observer=observer,
-                                         target_weights=target_weights,
-                                         source_weights=source_weights)
+                run = self._run_sampling(plan, bc, chunk, n_samps, gamma,
+                                         min_frontier, metrics,
+                                         observer=observer)
                 fixed_cycles = run[3]
                 fixed_roots = run[4]
                 run = run[:3]
             elif strategy == "batched":
-                run = self._run_batched(run_g, run_roots, bc, chunk, n_samps,
-                                        gamma, batch_size, metrics,
-                                        observer=observer,
-                                        target_weights=target_weights,
-                                        source_weights=source_weights)
+                run = self._run_batched(plan, bc, chunk, n_samps, gamma,
+                                        batch_size, metrics,
+                                        observer=observer)
                 fixed_cycles = run[3]
                 fixed_roots = run[4]
                 run = run[:3]
                 roots_per_trace = int(batch_size)
             else:
                 policy_factory = self._policy_factory(strategy, alpha, beta)
-                run = self._run_coarse(run_g, run_roots, bc, chunk,
-                                       policy_factory, metrics,
-                                       observer=observer,
-                                       target_weights=target_weights,
-                                       source_weights=source_weights)
+                run = self._run_coarse(plan, bc, chunk, policy_factory,
+                                       metrics, observer=observer)
             if observer is not None:
                 observer.finish(bc)
 
         trace, makespan, extra = run
-        if folded:
-            bc = fold_result.expand(bc) + post_extra
+        bc = plan.finish(bc)
         slow = float(self.straggler_factor)
         if slow != 1.0:
             makespan *= slow
@@ -547,7 +505,7 @@ class Device:
             fixed_cycles=fixed_cycles,
             fixed_roots=fixed_roots,
             roots_per_trace=roots_per_trace,
-            fold=fold_result if folded else None,
+            fold=fold_result,
         )
 
     # ------------------------------------------------------------------
@@ -557,11 +515,6 @@ class Device:
         if strategy in ("hybrid", "sampling"):
             return WORK_EFFICIENT
         return strategy
-
-    @staticmethod
-    def _source_weight(source_weights, s) -> float:
-        return (1.0 if source_weights is None
-                else float(source_weights[int(s)]))
 
     @staticmethod
     def _policy_factory(strategy: str, alpha, beta):
@@ -580,17 +533,14 @@ class Device:
             return lambda: HybridPolicy(**kw)
         raise StrategyError(f"no policy for {strategy!r}")
 
-    def _run_coarse(self, g, roots, bc, chunk, policy_factory,
-                    metrics=NULL_REGISTRY, observer=None,
-                    target_weights=None, source_weights=None):
+    def _run_coarse(self, plan, bc, chunk, policy_factory,
+                    metrics=NULL_REGISTRY, observer=None):
         """Jia-style layout: blocks pull roots; makespan scheduling."""
         trace = RunTrace()
-        for s in roots:
+        for s in plan.roots:
             trace.roots.append(
-                _run_root(g, int(s), bc, policy_factory(), self.costs, chunk,
-                          metrics=metrics, observer=observer,
-                          source_weight=self._source_weight(source_weights, s),
-                          target_weights=target_weights)
+                _run_root(plan, s, bc, policy_factory(), self.costs, chunk,
+                          metrics=metrics, observer=observer)
             )
         makespan, per_sm = _list_schedule(
             [rt.cycles for rt in trace.roots], self.spec.num_sms
@@ -599,30 +549,28 @@ class Device:
         trace.sm_cycles = per_sm
         return trace, makespan, None
 
-    def _run_gpu_fan(self, g, roots, bc, chunk, metrics=NULL_REGISTRY,
-                     observer=None, target_weights=None, source_weights=None):
+    def _run_gpu_fan(self, plan, bc, chunk, metrics=NULL_REGISTRY,
+                     observer=None):
         """GPU-FAN layout: whole device per root, roots sequential."""
         trace = RunTrace()
         device_chunk = self.spec.total_threads
         policy = FixedPolicy(GPU_FAN)
-        for s in roots:
+        for s in plan.roots:
             trace.roots.append(
-                _run_root(g, int(s), bc, policy, self.costs, chunk,
-                         device_chunk=device_chunk, metrics=metrics,
-                         observer=observer,
-                         source_weight=self._source_weight(source_weights, s),
-                         target_weights=target_weights)
+                _run_root(plan, s, bc, policy, self.costs, chunk,
+                          device_chunk=device_chunk, metrics=metrics,
+                          observer=observer)
             )
         makespan = trace.total_root_cycles
         trace.makespan_cycles = makespan
         trace.sm_cycles = np.full(self.spec.num_sms, makespan)
         return trace, makespan, None
 
-    def _run_sampling(self, g, roots, bc, chunk, n_samps, gamma, min_frontier,
-                      metrics=NULL_REGISTRY, observer=None,
-                      target_weights=None, source_weights=None):
+    def _run_sampling(self, plan, bc, chunk, n_samps, gamma, min_frontier,
+                      metrics=NULL_REGISTRY, observer=None):
         """Algorithm 5: classify with the first ``n_samps`` roots, then
         finish with the selected method."""
+        g, roots = plan.graph, plan.roots
         trace = RunTrace()
         k = min(int(n_samps), roots.size)
         phase1 = roots[:k]
@@ -630,10 +578,8 @@ class Device:
         we = FixedPolicy(WORK_EFFICIENT)
         for s in phase1:
             trace.roots.append(_run_root(
-                g, int(s), bc, we, self.costs, chunk,
-                metrics=metrics, observer=observer,
-                source_weight=self._source_weight(source_weights, s),
-                target_weights=target_weights))
+                plan, s, bc, we, self.costs, chunk,
+                metrics=metrics, observer=observer))
         makespan1, _ = _list_schedule(
             [rt.cycles for rt in trace.roots], self.spec.num_sms
         )
@@ -650,10 +596,8 @@ class Device:
             policy = (FrontierGuardPolicy(min_frontier) if use_ep
                       else FixedPolicy(WORK_EFFICIENT))
             trace.roots.append(_run_root(
-                g, int(s), bc, policy, self.costs, chunk,
-                metrics=metrics, observer=observer,
-                source_weight=self._source_weight(source_weights, s),
-                target_weights=target_weights))
+                plan, s, bc, policy, self.costs, chunk,
+                metrics=metrics, observer=observer))
         makespan2, per_sm = _list_schedule(
             [rt.cycles for rt in trace.roots[phase2_start:]], self.spec.num_sms
         )
@@ -662,9 +606,8 @@ class Device:
         trace.sm_cycles = per_sm
         return trace, makespan, use_ep, makespan1, int(phase1.size)
 
-    def _run_batched(self, g, roots, bc, chunk, n_samps, gamma, batch_size,
-                     metrics=NULL_REGISTRY, observer=None,
-                     target_weights=None, source_weights=None):
+    def _run_batched(self, plan, bc, chunk, n_samps, gamma, batch_size,
+                     metrics=NULL_REGISTRY, observer=None):
         """Sarıyüce-style multi-source strategy (reference [33]).
 
         Classification mirrors Algorithm 5: the first ``n_samps`` roots
@@ -678,6 +621,7 @@ class Device:
         per-root work-efficient instead; both the classification and
         that fallback are recorded in the ``repro.trace/v1`` stream.
         """
+        g, roots = plan.graph, plan.roots
         trace = RunTrace()
         k = min(int(n_samps), roots.size)
         phase1 = roots[:k]
@@ -685,10 +629,8 @@ class Device:
         we = FixedPolicy(WORK_EFFICIENT)
         for s in phase1:
             trace.roots.append(_run_root(
-                g, int(s), bc, we, self.costs, chunk,
-                metrics=metrics, observer=observer,
-                source_weight=self._source_weight(source_weights, s),
-                target_weights=target_weights))
+                plan, s, bc, we, self.costs, chunk,
+                metrics=metrics, observer=observer))
         makespan1, _ = _list_schedule(
             [rt.cycles for rt in trace.roots], self.spec.num_sms
         )
@@ -737,7 +679,7 @@ class Device:
 
                 try:
                     delta = batched_dependencies(
-                        g, batch, A=A, target_weights=target_weights,
+                        g, batch, A=A, target_weights=plan.target_weights,
                         on_level=on_level)
                 except FloatingPointError:
                     # Deep traversal overflowed the dense path counts;
@@ -745,12 +687,9 @@ class Device:
                     metrics.inc("batched.overflow_retries")
                     for s in batch:
                         sub = _run_root(
-                            g, int(s), bc, FixedPolicy(WORK_EFFICIENT),
+                            plan, s, bc, FixedPolicy(WORK_EFFICIENT),
                             self.costs, chunk, metrics=metrics,
-                            observer=observer,
-                            source_weight=self._source_weight(
-                                source_weights, s),
-                            target_weights=target_weights)
+                            observer=observer)
                         trace.roots.append(sub)
                         fallback_cycles.append(sub.cycles)
                     continue
@@ -796,11 +735,7 @@ class Device:
                 trace.roots.append(rt)
                 serial_cycles += rt.cycles
                 metrics.inc("engine.roots", batch.size)
-                if source_weights is None:
-                    bc += delta.sum(axis=0)
-                else:
-                    bc += (np.asarray(source_weights)[batch][:, None]
-                           * delta).sum(axis=0)
+                bc += plan.weighted_sum(batch, delta)
             # Batches own the whole device sequentially; any overflow
             # retries run per-SM alongside.
             retry_makespan, _ = _list_schedule(fallback_cycles,
@@ -810,10 +745,8 @@ class Device:
         else:
             for s in phase2:
                 trace.roots.append(_run_root(
-                    g, int(s), bc, FixedPolicy(WORK_EFFICIENT), self.costs,
-                    chunk, metrics=metrics, observer=observer,
-                    source_weight=self._source_weight(source_weights, s),
-                    target_weights=target_weights))
+                    plan, s, bc, FixedPolicy(WORK_EFFICIENT), self.costs,
+                    chunk, metrics=metrics, observer=observer))
             makespan2, per_sm = _list_schedule(
                 [rt.cycles for rt in trace.roots[phase2_start:]],
                 self.spec.num_sms

@@ -27,14 +27,31 @@ def symmetrize_edges(edges: np.ndarray) -> np.ndarray:
     return np.concatenate([edges, edges[:, ::-1]], axis=0)
 
 
-def dedupe_edges(edges: np.ndarray, drop_self_loops: bool = True) -> np.ndarray:
-    """Remove duplicate directed edges (and, by default, self loops)."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if drop_self_loops and edges.size:
+def _sorted_edges(edges: np.ndarray, n: int, dedupe: bool,
+                  drop_self_loops: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Edge endpoints ``(u, v)`` in lexicographic order.
+
+    One sort of the linear key ``u * n + v`` (endpoints in ``[0, n)``)
+    orders the edges; with ``dedupe`` an adjacent-difference mask drops
+    repeats.
+    """
+    if drop_self_loops:
         edges = edges[edges[:, 0] != edges[:, 1]]
-    if edges.size == 0:
-        return edges.reshape(0, 2)
-    return np.unique(edges, axis=0)
+    n = max(int(n), 1)
+    key = np.sort(edges[:, 0] * n + edges[:, 1])
+    if dedupe and key.size:
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    return np.divmod(key, n)
+
+
+def dedupe_edges(edges: np.ndarray, drop_self_loops: bool = True) -> np.ndarray:
+    """Remove duplicate directed edges (and, by default, self loops).
+
+    Endpoints must be non-negative; the result is in lexicographic order.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    n = int(edges.max()) + 1 if edges.size else 0
+    return np.column_stack(_sorted_edges(edges, n, True, drop_self_loops))
 
 
 def from_edges(
@@ -75,14 +92,11 @@ def from_edges(
         )
     if undirected and not already_symmetric:
         edges = symmetrize_edges(edges)
-    if dedupe:
-        edges = dedupe_edges(edges)
-    # CSR build: sort by source, then slice.
-    order = np.lexsort((edges[:, 1], edges[:, 0])) if edges.size else np.empty(0, int)
-    edges = edges[order]
-    counts = np.bincount(edges[:, 0], minlength=n).astype(np.int64)
+    # CSR build: sort by source (then target), then slice.
+    src, dst = _sorted_edges(edges, n, dedupe, drop_self_loops=dedupe)
+    counts = np.bincount(src, minlength=n).astype(np.int64)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    return CSRGraph(indptr, edges[:, 1].copy(), undirected=undirected, name=name)
+    return CSRGraph(indptr, dst, undirected=undirected, name=name)
 
 
 def from_networkx(nxg, name: str = "") -> CSRGraph:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...gpusim.device import Device
-from ..runner import ExperimentConfig, load_suite_graph, pick_roots
+from ..runner import ExperimentConfig, load_suite_graph, pick_roots, timed_run
 from ..tables import format_table
 
 __all__ = ["GRAPHS", "Figure4Row", "Figure4Result", "run", "render"]
@@ -59,7 +59,7 @@ def run(cfg: ExperimentConfig | None = None, names=None) -> Figure4Result:
     for name in (names or GRAPHS):
         g = load_suite_graph(name, cfg)
         roots = pick_roots(g, cfg.root_sample, seed=cfg.seed)
-        ep = device.run_bc(g, strategy="edge-parallel", roots=roots)
+        ep = timed_run(device, g, "edge-parallel", roots)
         seconds = {}
         for method in METHODS:
             kwargs = {}
@@ -69,7 +69,7 @@ def run(cfg: ExperimentConfig | None = None, names=None) -> Figure4Result:
             elif method == "hybrid":
                 kwargs["alpha"] = cfg.alpha
                 kwargs["beta"] = cfg.beta
-            run_ = device.run_bc(g, strategy=method, roots=roots, **kwargs)
+            run_ = timed_run(device, g, method, roots, **kwargs)
             seconds[method] = run_.extrapolated_seconds()
         rows.append(Figure4Row(graph=name,
                                edge_parallel_seconds=ep.extrapolated_seconds(),

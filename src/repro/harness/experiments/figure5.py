@@ -22,7 +22,7 @@ from ...graph.generators.delaunay import delaunay_n
 from ...graph.generators.kronecker import kron_g500
 from ...graph.generators.rgg import rgg_n_2
 from ...gpusim.device import Device
-from ..runner import ExperimentConfig, pick_roots
+from ..runner import ExperimentConfig, pick_roots, timed_run
 from ..tables import format_table
 
 __all__ = ["FAMILIES", "Figure5Point", "Figure5Result", "run", "render"]
@@ -70,19 +70,19 @@ def run(cfg: ExperimentConfig | None = None,
         for scale in scales:
             g = build(int(scale), cfg.seed)
             roots = pick_roots(g, k, seed=cfg.seed)
-            samp = device.run_bc(g, strategy="sampling", roots=roots,
-                                 n_samps=max(1, roots.size // 3))
+            samp = timed_run(device, g, "sampling", roots,
+                             n_samps=max(1, roots.size // 3))
             # Jia et al. baseline: the reference reader rejects graphs
             # with isolated vertices.
             try:
-                ep = device.run_bc(g, strategy="edge-parallel", roots=roots,
-                                   strict_reader=True)
+                ep = timed_run(device, g, "edge-parallel", roots,
+                               strict_reader=True)
                 ep_s = ep.extrapolated_seconds()
             except GraphFormatError:
                 ep_s = READER_REJECTS
             # GPU-FAN: check the O(n^2) footprint before running.
             if supports_graph(g, device.spec.memory_bytes):
-                gf = device.run_bc(g, strategy="gpu-fan", roots=roots)
+                gf = timed_run(device, g, "gpu-fan", roots)
                 gf_s = gf.extrapolated_seconds()
             else:
                 gf_s = OOM

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ...gpusim.device import Device
 from ...metrics.correlation import FrontierCorrelation, frontier_time_correlations
-from ..runner import ExperimentConfig, load_suite_graph, pick_roots
+from ..runner import ExperimentConfig, load_suite_graph, pick_roots, timed_run
 from ..tables import format_table
 
 __all__ = ["GRAPHS", "Table1Result", "run", "render"]
@@ -42,7 +42,7 @@ def run(cfg: ExperimentConfig | None = None, roots_per_graph: int = 3) -> Table1
     for name in GRAPHS:
         g = load_suite_graph(name, cfg)
         roots = pick_roots(g, roots_per_graph, seed=cfg.seed)
-        dev_run = device.run_bc(g, strategy="work-efficient", roots=roots)
+        dev_run = timed_run(device, g, "work-efficient", roots)
         for rt in dev_run.trace.roots:
             rows.append(frontier_time_correlations(rt, graph_name=name))
     return Table1Result(rows=tuple(rows))

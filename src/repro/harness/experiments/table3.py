@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from ...gpusim.device import Device
-from ..runner import ExperimentConfig, load_suite_graph, pick_roots
+from ..runner import ExperimentConfig, load_suite_graph, pick_roots, timed_run
 from ..tables import format_table
 
 __all__ = ["GRAPHS", "Table3Row", "Table3Result", "run", "render"]
@@ -64,14 +64,14 @@ def run(cfg: ExperimentConfig | None = None, names=None) -> Table3Result:
     for name in (names or GRAPHS):
         g = load_suite_graph(name, cfg)
         roots = pick_roots(g, cfg.root_sample, seed=cfg.seed)
-        ep = device.run_bc(g, strategy="edge-parallel", roots=roots)
+        ep = timed_run(device, g, "edge-parallel", roots)
         # The sampling phase classifies from the first roots it is
         # given; cap n_samps below the sample so phase 2 exists, and
         # extrapolate to a full-n run so the fixed classification cost
         # amortises exactly as it does in the paper (512 of n roots).
-        samp = device.run_bc(g, strategy="sampling", roots=roots,
-                             n_samps=max(1, roots.size // 3),
-                             min_frontier=cfg.min_frontier)
+        samp = timed_run(device, g, "sampling", roots,
+                         n_samps=max(1, roots.size // 3),
+                         min_frontier=cfg.min_frontier)
         rows.append(Table3Row(
             graph=name,
             edge_parallel_mteps=ep.extrapolated_mteps(),

@@ -6,6 +6,11 @@ the full harness comfortably inside a laptop's budget) and a
 ``root_sample`` (how many BC roots to actually execute; full-n runs
 are extrapolated per the uniform-per-root-cost argument the paper
 itself relies on).
+
+Every experiment runs the device unfolded (``fold=False``), as the
+paper does: degree-1 folding (:mod:`repro.bc.preprocess`) is this
+repository's extension and would change the traversals the paper's
+figures compare.
 """
 
 from __future__ import annotations
@@ -88,5 +93,7 @@ def pick_roots(g: CSRGraph, k: int, seed: int = 0,
 
 def timed_run(device: Device, g: CSRGraph, strategy: str,
               roots: np.ndarray, **kwargs) -> DeviceRun:
-    """One device run (thin alias that keeps experiment modules terse)."""
-    return device.run_bc(g, strategy=strategy, roots=roots, **kwargs)
+    """One unfolded device run (thin alias that keeps experiment
+    modules terse)."""
+    return device.run_bc(g, strategy=strategy, roots=roots, fold=False,
+                         **kwargs)

@@ -46,7 +46,7 @@ import numpy as np
 
 from ..bc.accumulation import dependency_accumulation
 from ..bc.frontier import forward_sweep
-from ..bc.preprocess import FoldResult, fold_degree_one
+from ..bc.preprocess import plan_fold
 from ..cluster.distributed import partition_roots
 from ..cluster.mpi_sim import SimComm
 from ..cluster.topology import ClusterSpec
@@ -264,7 +264,7 @@ def resilient_distributed_bc(
     metrics=None,
     clock: SpanClock | None = None,
     verify="off",
-    fold: bool | FoldResult = True,
+    fold: bool = True,
 ) -> ResilientRun:
     """Exact distributed BC that survives injected rank failures.
 
@@ -326,9 +326,9 @@ def resilient_distributed_bc(
         folded-graph roots**: the core's vertices are partitioned over
         ranks, every per-root traversal runs on the reduced graph with
         weighted accumulation, checkpoints and the reduce stay in core
-        space, and the folded credit is added after expansion.  Pass a
-        prepared :class:`~repro.bc.preprocess.FoldResult` to reuse one,
-        or ``False`` to traverse the original graph.
+        space, and the folded credit is added after expansion.  The
+        fold is memoised per graph; ``False`` traverses the original
+        graph.
 
     Returns a :class:`ResilientRun`; ``run.values`` equals the serial
     :func:`repro.bc.betweenness_centrality` whenever ``run.exact``.
@@ -355,22 +355,13 @@ def resilient_distributed_bc(
     policy = VerificationPolicy.coerce(verify)
     checker = RootChecker(policy, metrics) if policy.enabled else None
 
-    fold_result: FoldResult | None = None
-    if isinstance(fold, FoldResult):
-        fold_result = fold
-    elif fold:
-        fold_result = fold_degree_one(g)
-    folded = fold_result is not None and not fold_result.is_identity
-    if folded:
-        run_g = fold_result.core
-        target_weights = fold_result.core_weights
+    plan = plan_fold(g, None, fold)
+    run_g, target_weights = plan.graph, plan.target_weights
+    if plan.fold is not None:
         metrics.record("resilience.fold",
                        core_vertices=int(run_g.num_vertices),
-                       folded_vertices=int(fold_result.num_folded),
-                       rounds=int(fold_result.rounds))
-    else:
-        run_g = g
-        target_weights = None
+                       folded_vertices=int(plan.fold.num_folded),
+                       rounds=int(plan.fold.rounds))
 
     # Traversal roots and checkpoint vectors live on the (possibly
     # folded) run graph; expansion back to original ids happens once,
@@ -497,7 +488,7 @@ def resilient_distributed_bc(
                     apply_site(events, "dist", fwd.distances)
                     delta = dependency_accumulation(
                         run_g, fwd, target_weights=target_weights)
-                    sw = 1.0 if not folded else float(target_weights[s])
+                    sw = plan.source_weight(s)
                     if sw != 1.0:
                         # A folded core root stands for sw original
                         # sources; its dependency vector is scaled
@@ -648,9 +639,7 @@ def resilient_distributed_bc(
                 fwd = forward_sweep(run_g, int(s))
                 delta = dependency_accumulation(
                     run_g, fwd, target_weights=target_weights)
-                if folded:
-                    delta *= float(target_weights[int(s)])
-                est += delta
+                est += plan.source_weight(s) * delta
         est /= half
         total = total + est * (degraded_roots / k)
         samples_used = k
@@ -659,12 +648,11 @@ def resilient_distributed_bc(
         metrics.record("resilience.degrade", roots=degraded_roots,
                        samples=k, scale=degraded_roots / k)
 
-    if folded:
-        # Back to original ids: checkpoints, reduce and the degraded
-        # estimate were all core-space; the pendants' closed-form
-        # credit (already in ordered-pair units) gets the same halving
-        # the traversed partials received at commit time.
-        total = fold_result.expand(total) + fold_result.credit / half
+    # Back to original ids: checkpoints, reduce and the degraded
+    # estimate were all core-space and already halved, while the plan
+    # finishes in ordered-pair units — scaling by ``half`` (a power of
+    # two, so exact) around ``finish`` gives the credit the same halving.
+    total = plan.finish(total * half) / half
 
     metrics.inc("resilience.runs")
     metrics.inc("resilience.recomputed_roots", recomputed_roots)

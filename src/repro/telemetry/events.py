@@ -239,6 +239,8 @@ class TelemetryLog:
             keep += len(line.encode("utf-8"))
         with open(self.path, "r+b") as fh:
             fh.truncate(keep)
+            fh.flush()
+            os.fsync(fh.fileno())
         self.metrics.inc("telemetry.torn_truncated")
 
     def _now(self) -> float:

@@ -11,6 +11,7 @@ from repro.bc.preprocess import (
     fold_degree_one,
     folded_betweenness_centrality,
     per_root_correction,
+    plan_fold,
 )
 from repro.graph.build import from_edges
 
@@ -159,3 +160,73 @@ class TestDigest:
         g_cycle = from_edges([(i, (i + 1) % 6) for i in range(6)])
         assert (fold_degree_one(g_cycle).digest()
                 != fold_degree_one(path(6)).digest())
+
+
+class TestMemo:
+    def test_fold_memoised_on_graph(self):
+        g = path(6)
+        assert fold_degree_one(g) is fold_degree_one(g)
+        # Structurally equal but distinct graph objects fold separately.
+        assert fold_degree_one(path(6)) is not fold_degree_one(g)
+
+
+def _run_plan(plan):
+    """Drive a plan the way the entry points do: weighted traversals of
+    the planned roots, then ``finish``."""
+    acc = np.zeros(plan.graph.num_vertices)
+    for s in plan.roots:
+        fwd = forward_sweep(plan.graph, int(s))
+        acc += plan.source_weight(s) * dependency_accumulation(
+            plan.graph, fwd, target_weights=plan.target_weights)
+    return plan.finish(acc)
+
+
+LOLLIPOP = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (2, 7)]
+
+
+class TestPlan:
+    @pytest.mark.parametrize("g, fold", [
+        (from_edges([(i, (i + 1) % 5) for i in range(5)]), True),  # C5
+        (from_edges([(0, 1), (1, 2)], undirected=False), True),    # directed
+        (from_edges(LOLLIPOP), False),                             # opted out
+    ])
+    def test_identity_and_unfolded_plans_pass_through(self, g, fold):
+        plan = plan_fold(g, None, fold)
+        assert plan.graph is g and plan.fold is None
+        assert plan.roots.tolist() == list(range(g.num_vertices))
+        assert plan.target_weights is None and plan.source_weights is None
+        assert plan.source_weight(0) == 1.0
+        values = np.arange(g.num_vertices, dtype=np.float64)
+        assert plan.finish(values) is values
+        explicit = plan_fold(g, [2, 0], fold)
+        assert explicit.graph is g and explicit.roots.tolist() == [2, 0]
+
+    def test_full_run_plan(self):
+        g = from_edges(LOLLIPOP)
+        fold = fold_degree_one(g)
+        plan = plan_fold(g)
+        assert plan.fold is fold and plan.graph is fold.core
+        assert plan.roots.tolist() == list(range(fold.core.num_vertices))
+        assert np.array_equal(plan.target_weights, fold.core_weights)
+        assert np.array_equal(plan.source_weights, fold.core_weights)
+        assert np.array_equal(plan.extra, fold.credit)
+        assert np.allclose(_run_plan(plan) / 2.0, brandes_reference(g))
+
+    def test_explicit_roots_plan(self):
+        g = from_edges(LOLLIPOP)
+        fold = fold_degree_one(g)
+        roots = [6, 1, 7, 4]                      # folded and core roots
+        plan = plan_fold(g, roots)
+        hosts = [per_root_correction(fold, a)[0] for a in roots]
+        assert plan.graph is fold.core and plan.roots.tolist() == hosts
+        assert plan.source_weights is None
+        expect = sum(dependency_accumulation(g, forward_sweep(g, a))
+                     for a in roots)
+        assert np.allclose(_run_plan(plan), expect)
+
+    def test_weighted_sum_matches_source_weights(self):
+        plan = plan_fold(from_edges(LOLLIPOP))
+        batch = plan.roots[:3]
+        delta = np.ones((3, plan.graph.num_vertices))
+        expect = sum(plan.source_weight(s) for s in batch)
+        assert np.allclose(plan.weighted_sum(batch, delta), expect)

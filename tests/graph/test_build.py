@@ -139,3 +139,77 @@ class TestRelabel:
             relabel(fig1, np.zeros(9, dtype=np.int64))
         with pytest.raises(GraphStructureError):
             relabel(fig1, np.arange(5))
+
+
+def _reference_csr(edges, n, undirected, dedupe):
+    """The lexicographic builder the sort-based one must reproduce:
+    ``np.unique(axis=0)`` dedupe, then a ``np.lexsort`` CSR build."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if undirected:
+        edges = np.concatenate([edges, edges[:, ::-1]])
+    if dedupe:
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        if edges.size:
+            edges = np.unique(edges, axis=0)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(edges[:, 0], minlength=n))])
+    return indptr.astype(np.int64), edges[:, 1]
+
+
+class TestBuilderMatchesLexicographicReference:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("undirected", [True, False])
+    @pytest.mark.parametrize("dedupe", [True, False])
+    def test_random_edges_with_duplicates_and_loops(self, seed, undirected,
+                                                    dedupe):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 200)), 2))
+        edges = np.concatenate([edges, edges[: len(edges) // 3]])  # repeats
+        g = from_edges(edges, num_vertices=n + 2, undirected=undirected,
+                       dedupe=dedupe)
+        indptr, adj = _reference_csr(edges, n + 2, undirected, dedupe)
+        assert g.indptr.tobytes() == indptr.tobytes()
+        assert g.adj.tobytes() == adj.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("drop_self_loops", [True, False])
+    def test_dedupe_edges(self, seed, drop_self_loops):
+        rng = np.random.default_rng(seed)
+        edges = rng.integers(0, 30, size=(300, 2))
+        ref = edges[edges[:, 0] != edges[:, 1]] if drop_self_loops else edges
+        out = dedupe_edges(edges, drop_self_loops=drop_self_loops)
+        assert out.dtype == np.int64
+        expect = np.unique(ref, axis=0).astype(np.int64)
+        assert out.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_empty(self, undirected):
+        g = from_edges(np.empty((0, 2), dtype=np.int64), num_vertices=3,
+                       undirected=undirected)
+        assert g.indptr.tolist() == [0, 0, 0, 0] and g.adj.size == 0
+        assert dedupe_edges(np.empty((0, 2))).shape == (0, 2)
+
+
+# Graph and fold digests key the service's result cache: a builder or
+# fold change that moves them would orphan every cached result.
+PINNED_DIGESTS = {
+    "kron_g500-logn20": (
+        "124fbe1969892973e678959c001f180315be8e92d47c5300fb2f5d5e07e2e2cc",
+        "d9403ce010e030bcd2a2956149bd35a9f94429c3b95192db181c35e1c53e0e79"),
+    "luxembourg.osm": (
+        "4f96efceeff87cc75acce612587ae3d8b19f992ea283b96d69a16a360b9c93ad",
+        "da840e1b058c52f4731247ebce39694706c7b909333962024a3bb1d2e819737c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_dataset_and_fold_digests_pinned(name):
+    from repro.bc.preprocess import fold_degree_one
+    from repro.graph.generators import make_dataset
+
+    g = make_dataset(name, scale_factor=1024)
+    graph_digest, fold_digest = PINNED_DIGESTS[name]
+    assert g.digest() == graph_digest
+    assert fold_degree_one(g).digest() == fold_digest

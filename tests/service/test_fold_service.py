@@ -119,3 +119,28 @@ def test_folded_job_kill_and_recover_verifies_against_unfolded(tmp_path):
                                replace=False))
     run = Device().run_bc(g, strategy=s.strategy, roots=roots, fold=False)
     np.testing.assert_allclose(values, run.bc, rtol=1e-9, atol=1e-9)
+
+
+def test_service_folds_each_graph_once(tmp_path, monkeypatch):
+    """Every folded job on one graph — four strategies plus a
+    deadline-degraded sampled estimate — shares one pendant peel: the
+    fold is memoised on the graph, not recomputed per job or per key."""
+    from repro.bc import preprocess
+
+    peels = []
+    real_peel = preprocess._peel
+
+    def counting_peel(g):
+        peels.append(g.digest())
+        return real_peel(g)
+
+    monkeypatch.setattr(preprocess, "_peel", counting_peel)
+    with BCService(tmp_path / "svc") as svc:
+        for i, strategy in enumerate(("sampling", "work-efficient",
+                                      "hybrid", "batched"), start=1):
+            svc.submit(spec(i, strategy=strategy, seed=i))
+        svc.submit(spec(5, seed=5, deadline_seconds=1e-9))
+        svc.run_pending()
+        assert all(rec.state == DONE for rec in svc.jobs.values())
+        assert svc.jobs["j000005"].degraded_reason == "deadline"
+    assert len(peels) == 1

@@ -98,6 +98,26 @@ def test_torn_tail_truncated_on_reopen(tmp_path):
     assert not torn and len(events) == 1
 
 
+def test_torn_tail_truncate_is_fsynced(tmp_path, monkeypatch):
+    path = tmp_path / "events.jsonl"
+    TelemetryLog(str(path)).emit("a")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("deadbeef {\"event\"")          # torn mid-write
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        st = os.fstat(fd)
+        synced.append((st.st_ino, st.st_size))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    TelemetryLog(str(path))
+    st = os.stat(path)
+    # The file was fsynced after the truncate, at its repaired length.
+    assert (st.st_ino, st.st_size) in synced
+
+
 def test_enospc_drops_event_and_counts(tmp_path):
     path = str(tmp_path / "events.jsonl")
     storage = ServiceStorage(
