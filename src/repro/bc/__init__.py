@@ -26,6 +26,7 @@ from .preprocess import (
     plan_fold,
 )
 from .policies import (
+    DEFAULT_MIN_FRONTIER,
     EDGE_PARALLEL,
     GPU_FAN,
     VERTEX_PARALLEL,
@@ -37,7 +38,6 @@ from .policies import (
 )
 from .sampling import (
     DEFAULT_GAMMA,
-    DEFAULT_MIN_FRONTIER,
     DEFAULT_N_SAMPS,
     choose_edge_parallel,
     sample_roots,

@@ -69,19 +69,17 @@ def accumulate_level(
 def dependency_accumulation(
     g: CSRGraph,
     fwd: ForwardResult,
-    on_level=None,
     target_weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run Stage 2 for one root; returns the ``delta`` array.
 
     The caller accumulates ``bc += delta`` (``delta[source]`` is always
-    zero because depth 0 is never processed).
+    zero because depth 0 is never processed).  This is the only
+    accumulation loop: the engine charges the backward levels' cost
+    separately, from ``fwd.levels``.
 
     Parameters
     ----------
-    on_level:
-        Optional callback ``on_level(depth, level)`` invoked per level,
-        mirroring the forward sweep's hook (used for cost charging).
     target_weights:
         Optional per-vertex target multiplicities (see
         :func:`accumulate_level`); ``None`` means unit weights.
@@ -98,6 +96,4 @@ def dependency_accumulation(
         accumulate_level(g, level, fwd.distances, fwd.sigma, delta,
                          sigma_ratio_scale=ratio_scale,
                          target_weights=target_weights)
-        if on_level is not None:
-            on_level(depth, level)
     return delta

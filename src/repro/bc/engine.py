@@ -1,20 +1,27 @@
-"""Per-root execution engine: values + cost charging + tracing.
-
-One call to :func:`run_root` performs the full Brandes computation for
-one source (shortest-path stage then dependency accumulation),
-accumulates the dependencies into a shared ``bc`` array, and returns a
-:class:`~repro.gpusim.trace.RootTrace` whose per-level cycle charges
-come from the cost model under the strategy the policy selected for
-each iteration.
+"""Per-root execution engine: one value path plus a pure cost replay.
 
 Every strategy computes identical values — the strategies differ only
-in the thread-to-work assignment being costed — so correctness is
-verified once against the serial reference and literal kernel
-re-implementations, while performance comparisons come from the
-charged cycles.
+in the thread-to-work assignment being costed — so one call to
+:func:`run_root` splits a root into three steps:
+
+1. **Sweep** — :func:`~repro.bc.frontier.forward_sweep`, the exact
+   level-synchronous BFS with path counting, strategy-free.
+2. **Replay** — :func:`charge_levels` walks the sweep's levels once and
+   charges each under the strategy the policy selected for that
+   iteration (forward, then backward under the same per-depth
+   strategy), recording the policy's ``decision.*`` events.  It never
+   touches values.
+3. **Accumulate** — :func:`~repro.bc.accumulation.dependency_accumulation`,
+   the same Stage 2 :func:`~repro.bc.betweenness_centrality` runs.
+
+Correctness is therefore verified once against the serial reference
+and literal kernel re-implementations, while performance comparisons
+come from the charged cycles.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from ..graph.csr import CSRGraph
 from ..gpusim.cost import CostModel
 from ..gpusim.trace import LevelTrace, RootTrace
 from ..observability.registry import NULL_REGISTRY
-from .accumulation import accumulate_level
+from .accumulation import dependency_accumulation
 from .frontier import forward_sweep
 from .policies import (
     EDGE_PARALLEL,
@@ -33,7 +40,130 @@ from .policies import (
     Policy,
 )
 
-__all__ = ["run_root"]
+__all__ = ["run_root", "charge_levels", "record_level"]
+
+
+class _Level(NamedTuple):
+    """What a kernel's charge reads about one level."""
+
+    g: CSRGraph
+    frontier: np.ndarray
+    degrees: np.ndarray  # degree of each frontier vertex
+    ef: int  # edge frontier: sum of ``degrees``
+    chunk: int
+    device_chunk: int | None
+
+    def masked(self) -> np.ndarray:
+        """Per-vertex degrees, zero off the frontier (what a
+        vertex-parallel kernel's n threads see)."""
+        masked = np.zeros(self.g.num_vertices, dtype=np.int64)
+        masked[self.frontier] = self.degrees
+        return masked
+
+
+#: The one cost dispatch: cycles of one level, keyed by
+#: ``(stage, strategy)``.
+_CHARGES = {
+    ("forward", WORK_EFFICIENT):
+        lambda c, x: c.we_forward(x.degrees, x.chunk),
+    ("backward", WORK_EFFICIENT):
+        lambda c, x: c.we_backward(x.degrees, x.chunk),
+    ("forward", EDGE_PARALLEL):
+        lambda c, x: c.ep_forward(x.g.num_directed_edges, x.ef, x.chunk),
+    ("backward", EDGE_PARALLEL):
+        lambda c, x: c.ep_backward(x.g.num_directed_edges, x.ef, x.chunk),
+    ("forward", VERTEX_PARALLEL):
+        lambda c, x: c.vp_forward(x.g.num_vertices, x.masked(), x.chunk),
+    ("backward", VERTEX_PARALLEL):
+        lambda c, x: c.vp_backward(x.g.num_vertices, x.masked(), x.chunk),
+    ("forward", GPU_FAN):
+        lambda c, x: c.gpu_fan_forward(x.g.num_directed_edges, x.ef,
+                                       x.device_chunk),
+    ("backward", GPU_FAN):
+        lambda c, x: c.gpu_fan_backward(x.g.num_directed_edges, x.ef,
+                                        x.device_chunk),
+}
+
+
+def record_level(trace: RootTrace, level: LevelTrace, metrics) -> None:
+    """Append ``level`` to ``trace`` and count it in the per-level
+    ``engine.*`` series — the one recorder for engine levels and the
+    device's batched frontier-matrix levels alike."""
+    stage, strategy = level.stage, level.strategy
+    trace.add(level)
+    metrics.inc("engine.levels", stage=stage, strategy=strategy)
+    metrics.inc("engine.frontier_vertices", level.frontier_size, stage=stage)
+    metrics.inc("engine.frontier_edges", level.edge_frontier, stage=stage)
+    metrics.inc("engine.cycles", level.cycles, stage=stage, strategy=strategy)
+    if stage == "forward":
+        metrics.observe("engine.frontier_size", level.frontier_size,
+                        stage=stage)
+
+
+def charge_levels(
+    g: CSRGraph,
+    levels: list,
+    policy: Policy,
+    costs: CostModel,
+    chunk: int,
+    device_chunk: int | None = None,
+    metrics=NULL_REGISTRY,
+) -> RootTrace:
+    """Replay one exact traversal's ``levels`` under ``policy``.
+
+    Forward, level ``d`` is charged under the strategy in force, then
+    the policy decides the strategy of level ``d + 1`` from ``|levels[d]|``
+    and ``|levels[d + 1]|`` (Algorithm 4's inputs); a ``decision.step``
+    event is recorded only when a next level exists.  Backward, levels
+    ``len - 2 .. 1`` are charged under their forward strategy (the
+    deepest level has no successors and the root contributes nothing).
+    Pure cost: no value is computed or changed.
+    """
+    root = int(levels[0][0])
+    deg = g.degrees
+    trace = RootTrace(root=root)
+    by_depth: list = []
+
+    def charge(depth: int, stage: str, strategy: str) -> None:
+        frontier = levels[depth]
+        fdeg = deg[frontier]
+        x = _Level(g, frontier, fdeg, int(fdeg.sum()), chunk, device_chunk)
+        try:
+            cost = _CHARGES[stage, strategy]
+        except KeyError:
+            raise StrategyError(f"unknown strategy {strategy!r}") from None
+        if strategy == GPU_FAN and device_chunk is None:
+            raise StrategyError("gpu-fan strategy requires device_chunk")
+        record_level(trace, LevelTrace(
+            depth=depth, stage=stage, strategy=strategy,
+            frontier_size=int(frontier.size), edge_frontier=x.ef,
+            cycles=cost(costs, x)), metrics)
+
+    initial = policy.initial_decision()
+    metrics.record("decision.initial", root=root,
+                   applies_to_depth=0, strategy=initial.strategy,
+                   policy=initial.policy, rule=initial.rule,
+                   **initial.inputs)
+    strategy = initial.strategy
+    for depth in range(len(levels)):
+        charge(depth, "forward", strategy)
+        by_depth.append(strategy)
+        q_next = levels[depth + 1].size if depth + 1 < len(levels) else 0
+        if q_next > 0:
+            # The decision taken after level `depth` governs level
+            # `depth + 1`; an empty next frontier ends the sweep, so
+            # there is no decision to take.
+            decision = policy.decide(strategy, int(levels[depth].size),
+                                     int(q_next))
+            metrics.record("decision.step", root=root, depth=depth,
+                           applies_to_depth=depth + 1,
+                           previous=strategy, strategy=decision.strategy,
+                           policy=decision.policy, rule=decision.rule,
+                           **decision.inputs)
+            strategy = decision.strategy
+    for depth in range(len(levels) - 2, 0, -1):
+        charge(depth, "backward", by_depth[depth])
+    return trace
 
 
 def run_root(
@@ -49,7 +179,8 @@ def run_root(
     source_weight: float = 1.0,
     target_weights: np.ndarray | None = None,
 ) -> RootTrace:
-    """Process one BC root under ``policy``, charging ``costs``.
+    """Process one BC root under ``policy``, charging ``costs``:
+    sweep, replay the cost, accumulate.
 
     Parameters
     ----------
@@ -86,100 +217,12 @@ def run_root(
     """
     if metrics is None:
         metrics = NULL_REGISTRY
-    n = g.num_vertices
-    m_dir = g.num_directed_edges
-    deg = g.degrees
-    trace = RootTrace(root=int(source))
-    strategy_by_depth: dict[int, str] = {}
-
-    def _forward_cost(strategy: str, frontier: np.ndarray, ef: int) -> float:
-        fdeg = deg[frontier]
-        if strategy == WORK_EFFICIENT:
-            return costs.we_forward(fdeg, chunk)
-        if strategy == EDGE_PARALLEL:
-            return costs.ep_forward(m_dir, ef, chunk)
-        if strategy == VERTEX_PARALLEL:
-            masked = np.zeros(n, dtype=np.int64)
-            masked[frontier] = fdeg
-            return costs.vp_forward(n, masked, chunk)
-        if strategy == GPU_FAN:
-            if device_chunk is None:
-                raise StrategyError("gpu-fan strategy requires device_chunk")
-            return costs.gpu_fan_forward(m_dir, ef, device_chunk)
-        raise StrategyError(f"unknown strategy {strategy!r}")
-
-    def _backward_cost(strategy: str, level: np.ndarray, ef: int) -> float:
-        ldeg = deg[level]
-        if strategy == WORK_EFFICIENT:
-            return costs.we_backward(ldeg, chunk)
-        if strategy == EDGE_PARALLEL:
-            return costs.ep_backward(m_dir, ef, chunk)
-        if strategy == VERTEX_PARALLEL:
-            masked = np.zeros(n, dtype=np.int64)
-            masked[level] = ldeg
-            return costs.vp_backward(n, masked, chunk)
-        if strategy == GPU_FAN:
-            return costs.gpu_fan_backward(m_dir, ef, device_chunk)
-        raise StrategyError(f"unknown strategy {strategy!r}")
-
-    initial = policy.initial_decision()
-    state = {"strategy": initial.strategy}
-    metrics.record("decision.initial", root=int(source),
-                   applies_to_depth=0, strategy=initial.strategy,
-                   policy=initial.policy, rule=initial.rule,
-                   **initial.inputs)
-
-    def on_forward_level(depth: int, frontier: np.ndarray, q_next_len: int) -> None:
-        strategy = state["strategy"]
-        ef = int(deg[frontier].sum())
-        cycles = _forward_cost(strategy, frontier, ef)
-        trace.add(LevelTrace(depth=depth, stage="forward", strategy=strategy,
-                             frontier_size=int(frontier.size),
-                             edge_frontier=ef, cycles=cycles))
-        metrics.inc("engine.levels", stage="forward", strategy=strategy)
-        metrics.inc("engine.frontier_vertices", frontier.size, stage="forward")
-        metrics.inc("engine.frontier_edges", ef, stage="forward")
-        metrics.inc("engine.cycles", cycles, stage="forward", strategy=strategy)
-        metrics.observe("engine.frontier_size", frontier.size, stage="forward")
-        strategy_by_depth[depth] = strategy
-        decision = policy.decide(strategy, int(frontier.size), int(q_next_len))
-        if q_next_len > 0:
-            # The decision taken after level `depth` governs level
-            # `depth + 1`; an empty next frontier ends the sweep, so
-            # that final (never-applied) evaluation is not recorded.
-            metrics.record("decision.step", root=int(source), depth=int(depth),
-                           applies_to_depth=int(depth) + 1,
-                           previous=strategy, strategy=decision.strategy,
-                           policy=decision.policy, rule=decision.rule,
-                           **decision.inputs)
-        state["strategy"] = decision.strategy
-
-    fwd = forward_sweep(g, source, on_level=on_forward_level)
+    fwd = forward_sweep(g, source)
+    trace = charge_levels(g, fwd.levels, policy, costs, chunk, device_chunk,
+                          metrics)
     if observer is not None:
         observer.after_forward(fwd)
-
-    # Stage 2 — dependency accumulation, deepest-but-one level first,
-    # each level charged under the strategy that produced it.
-    delta = np.zeros(n, dtype=np.float64)
-    scales = fwd.level_scales
-    for depth in range(len(fwd.levels) - 2, 0, -1):
-        level = fwd.levels[depth]
-        ratio_scale = 1.0
-        if scales is not None and depth + 1 < scales.size:
-            ratio_scale = 1.0 / scales[depth + 1]
-        accumulate_level(g, level, fwd.distances, fwd.sigma, delta,
-                         sigma_ratio_scale=ratio_scale,
-                         target_weights=target_weights)
-        strategy = strategy_by_depth[depth]
-        ef = int(deg[level].sum())
-        cycles = _backward_cost(strategy, level, ef)
-        trace.add(LevelTrace(depth=depth, stage="backward", strategy=strategy,
-                             frontier_size=int(level.size),
-                             edge_frontier=ef, cycles=cycles))
-        metrics.inc("engine.levels", stage="backward", strategy=strategy)
-        metrics.inc("engine.frontier_vertices", level.size, stage="backward")
-        metrics.inc("engine.frontier_edges", ef, stage="backward")
-        metrics.inc("engine.cycles", cycles, stage="backward", strategy=strategy)
+    delta = dependency_accumulation(g, fwd, target_weights=target_weights)
     if source_weight != 1.0:
         delta *= source_weight
     if observer is not None:

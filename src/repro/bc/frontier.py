@@ -77,17 +77,17 @@ class ForwardResult:
         return np.concatenate(self.levels)
 
 
-def forward_sweep(g: CSRGraph, source: int,
-                  on_level=None, metrics=None) -> ForwardResult:
+def forward_sweep(g: CSRGraph, source: int, metrics=None) -> ForwardResult:
     """Run the shortest-path calculation stage from ``source``.
+
+    The sweep is strategy-free: the per-level frontiers it returns
+    (``levels``) are all a strategy's cost needs, so the engine charges
+    them afterwards (:func:`repro.bc.engine.charge_levels`), including
+    the hybrid policy's between-iteration decisions, which read the
+    current and next frontier sizes off consecutive levels.
 
     Parameters
     ----------
-    on_level:
-        Optional callback ``on_level(depth, frontier, q_next_len)``
-        invoked after each level is processed, *before* the next one
-        begins — this is the hook the hybrid policy (Algorithm 4) uses
-        to reconsider its parallelisation strategy between iterations.
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry`; records
         per-level frontier counters (``frontier.*`` series).  Defaults
@@ -139,8 +139,6 @@ def forward_sweep(g: CSRGraph, source: int,
         metrics.inc("frontier.frontier_vertices", frontier.size)
         metrics.inc("frontier.edges_inspected", nbrs.size)
         metrics.inc("frontier.discovered", q_next.size)
-        if on_level is not None:
-            on_level(depth, frontier, int(q_next.size))
         if q_next.size == 0:
             break
         frontier = q_next

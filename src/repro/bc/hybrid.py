@@ -5,21 +5,22 @@ frontier *changes* by more than ``alpha`` elements between iterations;
 at that point it re-selects: edge-parallel when the upcoming frontier
 exceeds ``beta`` vertices, work-efficient otherwise.  See
 :class:`repro.bc.policies.HybridPolicy` for the decision rule itself;
-this module adds the paper's defaults and a standalone helper mirroring
-the pseudocode for testability.
+this module re-exports the paper's defaults and adds a standalone helper
+mirroring the pseudocode for testability.
 """
 
 from __future__ import annotations
 
-from .policies import EDGE_PARALLEL, WORK_EFFICIENT, Decision, HybridPolicy
+from .policies import (
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
+    EDGE_PARALLEL,
+    WORK_EFFICIENT,
+    HybridPolicy,
+)
 
 __all__ = ["DEFAULT_ALPHA", "DEFAULT_BETA", "select_strategy",
-           "explain_strategy", "HybridPolicy"]
-
-#: Paper Section IV-B: "we found the values of 768 and 512 were the best
-#: choices for alpha and beta".
-DEFAULT_ALPHA = 768
-DEFAULT_BETA = 512
+           "HybridPolicy"]
 
 
 def select_strategy(
@@ -42,23 +43,3 @@ def select_strategy(
     if q_change <= alpha:
         return current
     return EDGE_PARALLEL if int(q_next_len) > beta else WORK_EFFICIENT
-
-
-def explain_strategy(
-    current: str,
-    q_curr_len: int,
-    q_next_len: int,
-    alpha: int = DEFAULT_ALPHA,
-    beta: int = DEFAULT_BETA,
-) -> Decision:
-    """Algorithm 4 with its audit trail: the same selection as
-    :func:`select_strategy`, returned as a
-    :class:`~repro.bc.policies.Decision` whose ``rule`` spells out the
-    exact α/β comparison taken.
-
-    >>> explain_strategy("work-efficient", 10, 2000).rule
-    '|Δfrontier|=1990 > alpha=768 and q_next=2000 > beta=512: edge-parallel'
-    """
-    return HybridPolicy(alpha=alpha, beta=beta).decide(
-        current, q_curr_len, q_next_len
-    )

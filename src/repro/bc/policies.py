@@ -2,10 +2,12 @@
 
 A policy decides, for every BFS iteration of every root, whether the
 level is processed with the work-efficient, edge-parallel or
-vertex-parallel thread assignment.  The engine asks for an initial
-strategy, then calls :meth:`next_strategy` after each completed level
-with the current and next frontier sizes — exactly the information
-Algorithm 4 uses.
+vertex-parallel thread assignment.  The engine's cost replay
+(:func:`repro.bc.engine.charge_levels`) asks for an initial decision,
+then calls :meth:`decide` after each level that has a successor, with
+the current and next frontier sizes — exactly the information
+Algorithm 4 uses.  Policies hold no per-root state, so one instance
+serves a whole run.
 
 Every decision is also available as an auditable record: :meth:`decide`
 returns a :class:`Decision` carrying the chosen strategy *plus* the
@@ -26,6 +28,9 @@ __all__ = [
     "EDGE_PARALLEL",
     "VERTEX_PARALLEL",
     "GPU_FAN",
+    "DEFAULT_ALPHA",
+    "DEFAULT_BETA",
+    "DEFAULT_MIN_FRONTIER",
     "Decision",
     "Policy",
     "FixedPolicy",
@@ -39,6 +44,14 @@ VERTEX_PARALLEL = "vertex-parallel"
 GPU_FAN = "gpu-fan"
 
 _KNOWN = {WORK_EFFICIENT, EDGE_PARALLEL, VERTEX_PARALLEL, GPU_FAN}
+
+#: Paper Section IV-B: "we found the values of 768 and 512 were the best
+#: choices for alpha and beta" (Algorithm 4's thresholds).
+DEFAULT_ALPHA = 768
+DEFAULT_BETA = 512
+#: Paper Section IV-C: the sampling method's per-iteration frontier
+#: guard, "designed to scale with the architecture".
+DEFAULT_MIN_FRONTIER = 512
 
 
 @dataclass(frozen=True)
@@ -118,7 +131,7 @@ class HybridPolicy(Policy):
 
     kind = "hybrid"
 
-    def __init__(self, alpha: int = 768, beta: int = 512):
+    def __init__(self, alpha: int = DEFAULT_ALPHA, beta: int = DEFAULT_BETA):
         if alpha < 0 or beta < 0:
             raise StrategyError("alpha and beta must be non-negative")
         self.alpha = int(alpha)
@@ -172,7 +185,7 @@ class FrontierGuardPolicy(Policy):
 
     kind = "frontier-guard"
 
-    def __init__(self, min_frontier: int = 512):
+    def __init__(self, min_frontier: int = DEFAULT_MIN_FRONTIER):
         if min_frontier < 0:
             raise StrategyError("min_frontier must be non-negative")
         self.min_frontier = int(min_frontier)

@@ -21,17 +21,15 @@ import numpy as np
 __all__ = [
     "DEFAULT_N_SAMPS",
     "DEFAULT_GAMMA",
-    "DEFAULT_MIN_FRONTIER",
     "choose_edge_parallel",
     "classification_record",
     "sample_roots",
 ]
 
-#: Paper Section IV-C: 512 sampled roots, gamma = 4, and a 512-element
-#: frontier guard "designed to scale with the architecture".
+#: Paper Section IV-C: 512 sampled roots and gamma = 4 (the frontier
+#: guard lives beside the policies, as ``DEFAULT_MIN_FRONTIER``).
 DEFAULT_N_SAMPS = 512
 DEFAULT_GAMMA = 4.0
-DEFAULT_MIN_FRONTIER = 512
 
 
 def choose_edge_parallel(
@@ -45,13 +43,8 @@ def choose_edge_parallel(
     ``keys[n_samps / 2] < gamma * log2(n)`` after sorting — i.e. the
     median (the pseudocode's upper median).
     """
-    depths = np.sort(np.asarray(max_depths, dtype=np.float64))
-    if depths.size == 0:
-        return False
-    if num_vertices < 2:
-        return False
-    median = depths[depths.size // 2]
-    return bool(median < gamma * math.log2(num_vertices))
+    record = classification_record(max_depths, num_vertices, gamma=gamma)
+    return record["chose_edge_parallel"]
 
 
 def classification_record(
@@ -70,14 +63,13 @@ def classification_record(
     ``repro trace explain`` can replay the classification.
     """
     depths = np.sort(np.asarray(max_depths, dtype=np.int64))
-    chose = choose_edge_parallel(depths, num_vertices, gamma=gamma)
     record = {
         "policy": "sampling",
         "n_samps": int(depths.size),
         "gamma": float(gamma),
         "num_vertices": int(num_vertices),
         "depths": [int(d) for d in depths],
-        "chose_edge_parallel": bool(chose),
+        "chose_edge_parallel": False,
     }
     if depths.size == 0 or num_vertices < 2:
         record.update({
@@ -88,10 +80,12 @@ def classification_record(
         return record
     median = int(depths[depths.size // 2])
     cutoff = float(gamma) * math.log2(num_vertices)
-    cmp = "<" if median < cutoff else ">="
+    chose = median < cutoff
+    cmp = "<" if chose else ">="
     outcome = ("edge-parallel (small-world/scale-free)" if chose
                else "work-efficient (high diameter)")
     record.update({
+        "chose_edge_parallel": chose,
         "median_depth": median,
         "depth_cutoff": cutoff,
         "rule": f"median_depth={median} {cmp} gamma*log2(n)="

@@ -24,10 +24,14 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..bc.policies import (
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
+    DEFAULT_MIN_FRONTIER,
     EDGE_PARALLEL,
     GPU_FAN,
     VERTEX_PARALLEL,
@@ -37,12 +41,7 @@ from ..bc.policies import (
     HybridPolicy,
 )
 from ..bc.preprocess import FoldPlan, FoldResult, plan_fold
-from ..bc.sampling import (
-    DEFAULT_GAMMA,
-    DEFAULT_MIN_FRONTIER,
-    DEFAULT_N_SAMPS,
-    classification_record,
-)
+from ..bc.sampling import DEFAULT_GAMMA, DEFAULT_N_SAMPS, classification_record
 from ..errors import GraphFormatError, SilentCorruptionError, StrategyError
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
@@ -153,18 +152,6 @@ class DeviceRun:
         return self.extrapolated_teps(total_roots) / 1e6
 
 
-def _run_root(plan: FoldPlan, s, bc, policy, costs, chunk, **kwargs):
-    """Root ``s`` of ``plan`` through the per-root engine, weighted as
-    the plan says.  The import is deferred to break the bc <-> gpusim
-    cycle: the engine needs the cost model's types, the device needs
-    the engine's entry point."""
-    from ..bc.engine import run_root
-
-    return run_root(plan.graph, int(s), bc, policy, costs, chunk,
-                    source_weight=plan.source_weight(s),
-                    target_weights=plan.target_weights, **kwargs)
-
-
 class _RunObserver:
     """Threads SDC injection and ABFT verification through one run.
 
@@ -255,6 +242,19 @@ def _list_schedule(costs_per_root, num_workers: int):
     return max(workers), np.asarray(workers)
 
 
+class _Schedule(NamedTuple):
+    """One run's schedule, as :meth:`Device._run` returns it."""
+
+    #: Per-root traces plus the makespan and per-SM loads.
+    trace: RunTrace
+    #: Makespan of the sampling/batched classification phase.
+    fixed_cycles: float
+    #: Roots that phase consumed.
+    fixed_roots: int
+    #: Its outcome (edge-parallel / batched chosen); None without one.
+    chose: bool | None
+
+
 class Device:
     """A simulated GPU executing betweenness-centrality runs."""
 
@@ -299,8 +299,8 @@ class Device:
         strategy: str = "sampling",
         roots=None,
         *,
-        alpha: int | None = None,
-        beta: int | None = None,
+        alpha: int = DEFAULT_ALPHA,
+        beta: int = DEFAULT_BETA,
         n_samps: int = DEFAULT_N_SAMPS,
         gamma: float = DEFAULT_GAMMA,
         min_frontier: int = DEFAULT_MIN_FRONTIER,
@@ -332,6 +332,9 @@ class Device:
             median depth is below the ``gamma`` cutoff (small-diameter
             graphs — dense frontiers, BLAS-shaped work); deep graphs
             fall back to per-root work-efficient traversal.
+            ``n_samps < 0``, ``batch_size < 1`` and ``min_frontier < 0``
+            raise :class:`~repro.errors.StrategyError` before any
+            traversal, whatever the strategy.
         fold:
             ``True`` (default) applies the degree-1 folding preprocess
             before traversal (exact — see :mod:`repro.bc.preprocess`;
@@ -376,6 +379,11 @@ class Device:
             raise StrategyError(
                 f"unknown strategy {strategy!r}; known: {STRATEGIES}"
             )
+        for name, value, low in (("n_samps", n_samps, 0),
+                                 ("batch_size", batch_size, 1),
+                                 ("min_frontier", min_frontier, 0)):
+            if value < low:
+                raise StrategyError(f"{name} must be >= {low}, got {value}")
         n = g.num_vertices
         full_run = roots is None
         if roots is None:
@@ -402,8 +410,10 @@ class Device:
         memory_report: dict = {}
         if check_memory:
             mem = DeviceMemoryModel(capacity=self.spec.memory_bytes)
+            # Hybrid and sampling run the work-efficient structures.
             footprint = strategy_footprint(
-                run_g, self._memory_strategy(strategy),
+                run_g, (WORK_EFFICIENT if strategy in ("hybrid", "sampling")
+                        else strategy),
                 num_blocks=self.spec.num_sms, batch_size=batch_size,
             )
             for what, nbytes in footprint.items():
@@ -411,7 +421,6 @@ class Device:
             memory_report = mem.report()
 
         bc = np.zeros(run_g.num_vertices, dtype=np.float64)
-        chunk = self.spec.concurrent_threads_per_sm
 
         verify_policy = VerificationPolicy.coerce(verify)
         observer = None
@@ -422,10 +431,7 @@ class Device:
                   "num_vertices": int(n), "num_edges": int(g.num_edges),
                   "num_roots": int(roots.size)}
         if strategy == "hybrid":
-            params["alpha"] = int(alpha if alpha is not None
-                                  else HybridPolicy().alpha)
-            params["beta"] = int(beta if beta is not None
-                                 else HybridPolicy().beta)
+            params.update(alpha=int(alpha), beta=int(beta))
         elif strategy == "sampling":
             params.update(n_samps=int(n_samps), gamma=float(gamma),
                           min_frontier=int(min_frontier))
@@ -441,37 +447,23 @@ class Device:
                           core_traversals=int(plan.roots.size))
         metrics.record("run.params", **params)
 
-        fixed_cycles = 0.0
-        fixed_roots = 0
-        roots_per_trace = 1
+        if strategy == "hybrid":
+            policy = HybridPolicy(alpha, beta)
+        elif strategy == "sampling":
+            policy = FrontierGuardPolicy(min_frontier)
+        else:
+            policy = FixedPolicy(WORK_EFFICIENT if strategy == "batched"
+                                 else strategy)
         with metrics.span("device.run_bc", strategy=strategy,
                           device=self.spec.name):
-            if strategy == GPU_FAN:
-                run = self._run_gpu_fan(plan, bc, chunk, metrics,
-                                        observer=observer)
-            elif strategy == "sampling":
-                run = self._run_sampling(plan, bc, chunk, n_samps, gamma,
-                                         min_frontier, metrics,
-                                         observer=observer)
-                fixed_cycles = run[3]
-                fixed_roots = run[4]
-                run = run[:3]
-            elif strategy == "batched":
-                run = self._run_batched(plan, bc, chunk, n_samps, gamma,
-                                        batch_size, metrics,
-                                        observer=observer)
-                fixed_cycles = run[3]
-                fixed_roots = run[4]
-                run = run[:3]
-                roots_per_trace = int(batch_size)
-            else:
-                policy_factory = self._policy_factory(strategy, alpha, beta)
-                run = self._run_coarse(plan, bc, chunk, policy_factory,
-                                       metrics, observer=observer)
+            run = self._run(plan, bc, strategy, policy, n_samps=int(n_samps),
+                            gamma=gamma, batch_size=int(batch_size),
+                            metrics=metrics, observer=observer)
             if observer is not None:
                 observer.finish(bc)
 
-        trace, makespan, extra = run
+        trace, fixed_cycles = run.trace, run.fixed_cycles
+        makespan = trace.makespan_cycles
         bc = plan.finish(bc)
         slow = float(self.straggler_factor)
         if slow != 1.0:
@@ -501,181 +493,98 @@ class Device:
             num_edges=g.num_edges,
             roots=roots,
             memory_report=memory_report,
-            sampling_chose_edge_parallel=extra,
+            sampling_chose_edge_parallel=run.chose,
             fixed_cycles=fixed_cycles,
-            fixed_roots=fixed_roots,
-            roots_per_trace=roots_per_trace,
+            fixed_roots=run.fixed_roots,
+            roots_per_trace=int(batch_size) if strategy == "batched" else 1,
             fold=fold_result,
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _memory_strategy(strategy: str) -> str:
-        """Map run strategies to memory-footprint classes."""
-        if strategy in ("hybrid", "sampling"):
-            return WORK_EFFICIENT
-        return strategy
+    def _run(self, plan: FoldPlan, bc: np.ndarray, strategy: str, policy,
+             *, n_samps: int, gamma: float, batch_size: int, metrics,
+             observer) -> "_Schedule":
+        """The one runner: every strategy's roots, scheduled.
 
-    @staticmethod
-    def _policy_factory(strategy: str, alpha, beta):
-        if strategy == WORK_EFFICIENT:
-            return lambda: FixedPolicy(WORK_EFFICIENT)
-        if strategy == EDGE_PARALLEL:
-            return lambda: FixedPolicy(EDGE_PARALLEL)
-        if strategy == VERTEX_PARALLEL:
-            return lambda: FixedPolicy(VERTEX_PARALLEL)
-        if strategy == "hybrid":
-            kw = {}
-            if alpha is not None:
-                kw["alpha"] = alpha
-            if beta is not None:
-                kw["beta"] = beta
-            return lambda: HybridPolicy(**kw)
-        raise StrategyError(f"no policy for {strategy!r}")
-
-    def _run_coarse(self, plan, bc, chunk, policy_factory,
-                    metrics=NULL_REGISTRY, observer=None):
-        """Jia-style layout: blocks pull roots; makespan scheduling."""
-        trace = RunTrace()
-        for s in plan.roots:
-            trace.roots.append(
-                _run_root(plan, s, bc, policy_factory(), self.costs, chunk,
-                          metrics=metrics, observer=observer)
-            )
-        makespan, per_sm = _list_schedule(
-            [rt.cycles for rt in trace.roots], self.spec.num_sms
-        )
-        trace.makespan_cycles = makespan
-        trace.sm_cycles = per_sm
-        return trace, makespan, None
-
-    def _run_gpu_fan(self, plan, bc, chunk, metrics=NULL_REGISTRY,
-                     observer=None):
-        """GPU-FAN layout: whole device per root, roots sequential."""
-        trace = RunTrace()
-        device_chunk = self.spec.total_threads
-        policy = FixedPolicy(GPU_FAN)
-        for s in plan.roots:
-            trace.roots.append(
-                _run_root(plan, s, bc, policy, self.costs, chunk,
-                          device_chunk=device_chunk, metrics=metrics,
-                          observer=observer)
-            )
-        makespan = trace.total_root_cycles
-        trace.makespan_cycles = makespan
-        trace.sm_cycles = np.full(self.spec.num_sms, makespan)
-        return trace, makespan, None
-
-    def _run_sampling(self, plan, bc, chunk, n_samps, gamma, min_frontier,
-                      metrics=NULL_REGISTRY, observer=None):
-        """Algorithm 5: classify with the first ``n_samps`` roots, then
-        finish with the selected method."""
-        g, roots = plan.graph, plan.roots
-        trace = RunTrace()
-        k = min(int(n_samps), roots.size)
-        phase1 = roots[:k]
-        phase2 = roots[k:]
-        we = FixedPolicy(WORK_EFFICIENT)
-        for s in phase1:
-            trace.roots.append(_run_root(
-                plan, s, bc, we, self.costs, chunk,
-                metrics=metrics, observer=observer))
-        makespan1, _ = _list_schedule(
-            [rt.cycles for rt in trace.roots], self.spec.num_sms
-        )
-        depths = [rt.max_depth for rt in trace.roots]
-        classification = classification_record(depths, g.num_vertices,
-                                               gamma=gamma)
-        use_ep = classification["chose_edge_parallel"]
-        metrics.inc("device.sampling_classifications",
-                    chose="edge-parallel" if use_ep else "work-efficient")
-        metrics.record("decision.sampling", min_frontier=int(min_frontier),
-                       **classification)
-        phase2_start = len(trace.roots)
-        for s in phase2:
-            policy = (FrontierGuardPolicy(min_frontier) if use_ep
-                      else FixedPolicy(WORK_EFFICIENT))
-            trace.roots.append(_run_root(
-                plan, s, bc, policy, self.costs, chunk,
-                metrics=metrics, observer=observer))
-        makespan2, per_sm = _list_schedule(
-            [rt.cycles for rt in trace.roots[phase2_start:]], self.spec.num_sms
-        )
-        makespan = makespan1 + makespan2
-        trace.makespan_cycles = makespan
-        trace.sm_cycles = per_sm
-        return trace, makespan, use_ep, makespan1, int(phase1.size)
-
-    def _run_batched(self, plan, bc, chunk, n_samps, gamma, batch_size,
-                     metrics=NULL_REGISTRY, observer=None):
-        """Sarıyüce-style multi-source strategy (reference [33]).
-
-        Classification mirrors Algorithm 5: the first ``n_samps`` roots
-        run work-efficient and their median BFS depth decides.  A
-        *small* sampled diameter (the same γ-cutoff that would pick the
-        edge-parallel kernel) means dense frontiers and few steps —
-        ideal for routing the remaining roots through whole-device
-        frontier-matrix traversals, ``batch_size`` roots per step.
-        Deep graphs, and runs carrying an SDC/verification observer
-        (whose ABFT suite is per-root by construction), finish
-        per-root work-efficient instead; both the classification and
-        that fallback are recorded in the ``repro.trace/v1`` stream.
+        1. ``sampling``/``batched`` first classify the graph: the first
+           ``n_samps`` roots run work-efficient, list-scheduled on the
+           SMs as the run's fixed phase, and their median depth decides
+           (Algorithm 5).  ``policy`` — the sampling strategy's frontier
+           guard — then runs the remaining roots only if the median
+           picked edge-parallel; otherwise they stay work-efficient.
+        2. ``batched`` on a small-diameter graph routes the remaining
+           roots through whole-device frontier-matrix traversals,
+           ``batch_size`` roots per step, summed; a batch whose path
+           counts overflow is retried per root (list-scheduled
+           alongside).  Runs carrying an SDC/verification observer,
+           whose ABFT suite is per-root by construction, stay per-root.
+        3. Otherwise each root runs through :func:`~repro.bc.engine.run_root`,
+           list-scheduled on ``num_sms`` SMs (Jia et al.'s coarse layout)
+           or summed for GPU-FAN (whole device per root).
         """
-        g, roots = plan.graph, plan.roots
-        trace = RunTrace()
-        k = min(int(n_samps), roots.size)
-        phase1 = roots[:k]
-        phase2 = roots[k:]
-        we = FixedPolicy(WORK_EFFICIENT)
-        for s in phase1:
-            trace.roots.append(_run_root(
-                plan, s, bc, we, self.costs, chunk,
-                metrics=metrics, observer=observer))
-        makespan1, _ = _list_schedule(
-            [rt.cycles for rt in trace.roots], self.spec.num_sms
-        )
-        depths = [rt.max_depth for rt in trace.roots]
-        classification = classification_record(depths, g.num_vertices,
-                                               gamma=gamma)
-        use_batched = bool(classification["chose_edge_parallel"])
-        per_root_fallback = observer is not None
-        metrics.inc("device.batched_classifications",
-                    chose="batched" if use_batched and not per_root_fallback
-                    else "work-efficient")
-        metrics.record("decision.batched", batch_size=int(batch_size),
-                       verified_per_root=bool(per_root_fallback),
-                       **classification)
-        phase2_start = len(trace.roots)
+        # Deferred: the engine imports the cost model's types, so a
+        # module-level import here would close an import cycle.
+        from ..bc.engine import run_root
+
+        g, roots, num_sms = plan.graph, plan.roots, self.spec.num_sms
+        chunk = self.spec.concurrent_threads_per_sm
         device_chunk = self.spec.total_threads
-        makespan2 = 0.0
-        if use_batched and not per_root_fallback and phase2.size:
+        trace = RunTrace()
+
+        def per_root(s, policy) -> float:
+            rt = run_root(g, int(s), bc, policy, self.costs, chunk,
+                          device_chunk=device_chunk, metrics=metrics,
+                          observer=observer,
+                          source_weight=plan.source_weight(s),
+                          target_weights=plan.target_weights)
+            trace.roots.append(rt)
+            return rt.cycles
+
+        fixed_cycles, k, chose = 0.0, 0, None
+        if strategy in ("sampling", "batched"):
+            k = min(n_samps, roots.size)
+            we = FixedPolicy(WORK_EFFICIENT)
+            fixed_cycles, _ = _list_schedule(
+                [per_root(s, we) for s in roots[:k]], num_sms)
+            classification = classification_record(
+                [rt.max_depth for rt in trace.roots], g.num_vertices,
+                gamma=gamma)
+            chose = classification["chose_edge_parallel"]
+            if strategy == "sampling":
+                metrics.inc("device.sampling_classifications",
+                            chose=EDGE_PARALLEL if chose else WORK_EFFICIENT)
+                metrics.record("decision.sampling",
+                               min_frontier=policy.min_frontier,
+                               **classification)
+                if not chose:
+                    policy = we
+            else:
+                chose = chose and observer is None
+                metrics.inc("device.batched_classifications",
+                            chose="batched" if chose else WORK_EFFICIENT)
+                metrics.record("decision.batched", batch_size=batch_size,
+                               verified_per_root=observer is not None,
+                               **classification)
+        rest = roots[k:]
+
+        if strategy == "batched" and chose and rest.size:
             from ..bc.batched import _adjacency, batched_dependencies
+            from ..bc.engine import record_level
 
             A = _adjacency(g)
-            serial_cycles = 0.0
-            fallback_cycles: list = []
-            for lo in range(0, phase2.size, int(batch_size)):
-                batch = phase2[lo:lo + int(batch_size)]
+            serial_cycles, retry_cycles = 0.0, []
+            for lo in range(0, rest.size, batch_size):
+                batch = rest[lo:lo + batch_size]
                 rep = int(batch[0])
                 rt = RootTrace(root=rep)
 
                 def on_level(depth, pairs, epairs, rt=rt):
-                    cycles = self.costs.batched_forward(epairs, device_chunk)
-                    rt.add(LevelTrace(depth=depth, stage="forward",
-                                      strategy="batched",
-                                      frontier_size=int(pairs),
-                                      edge_frontier=int(epairs),
-                                      cycles=cycles))
-                    metrics.inc("engine.levels", stage="forward",
-                                strategy="batched")
-                    metrics.inc("engine.frontier_vertices", pairs,
-                                stage="forward")
-                    metrics.inc("engine.frontier_edges", epairs,
-                                stage="forward")
-                    metrics.inc("engine.cycles", cycles, stage="forward",
-                                strategy="batched")
-                    metrics.observe("engine.frontier_size", pairs,
-                                    stage="forward")
+                    record_level(rt, LevelTrace(
+                        depth=depth, stage="forward", strategy="batched",
+                        frontier_size=int(pairs), edge_frontier=int(epairs),
+                        cycles=self.costs.batched_forward(epairs,
+                                                          device_chunk)),
+                        metrics)
 
                 try:
                     delta = batched_dependencies(
@@ -685,13 +594,7 @@ class Device:
                     # Deep traversal overflowed the dense path counts;
                     # the per-root engine rescales sigma per level.
                     metrics.inc("batched.overflow_retries")
-                    for s in batch:
-                        sub = _run_root(
-                            plan, s, bc, FixedPolicy(WORK_EFFICIENT),
-                            self.costs, chunk, metrics=metrics,
-                            observer=observer)
-                        trace.roots.append(sub)
-                        fallback_cycles.append(sub.cycles)
+                    retry_cycles += [per_root(s, policy) for s in batch]
                     continue
                 # Decision audit: one record per executed forward level
                 # (the batch's representative root carries the trace).
@@ -706,53 +609,41 @@ class Device:
                                median_depth=classification["median_depth"],
                                depth_cutoff=classification["depth_cutoff"])
                 fls = rt.forward_levels()
-                for lv in fls:
-                    if lv.depth >= 1:
-                        metrics.record("decision.step", root=rep,
-                                       depth=int(lv.depth) - 1,
-                                       applies_to_depth=int(lv.depth),
-                                       previous="batched",
-                                       strategy="batched", policy="batched",
-                                       rule="batch advances one "
-                                            "frontier-matrix step",
-                                       batch_roots=int(batch.size))
+                for lv in fls[1:]:
+                    metrics.record("decision.step", root=rep,
+                                   depth=int(lv.depth) - 1,
+                                   applies_to_depth=int(lv.depth),
+                                   previous="batched",
+                                   strategy="batched", policy="batched",
+                                   rule="batch advances one "
+                                        "frontier-matrix step",
+                                   batch_roots=int(batch.size))
                 # Backward levels mirror the forward ones (each level
                 # scans its own rows' edges, transposed product).
-                by_depth = {lv.depth: lv for lv in fls}
-                for depth in range(max(by_depth) - 1, 0, -1):
-                    lv = by_depth[depth]
-                    cycles = self.costs.batched_backward(lv.edge_frontier,
-                                                         device_chunk)
-                    rt.add(LevelTrace(depth=depth, stage="backward",
-                                      strategy="batched",
-                                      frontier_size=lv.frontier_size,
-                                      edge_frontier=lv.edge_frontier,
-                                      cycles=cycles))
-                    metrics.inc("engine.levels", stage="backward",
-                                strategy="batched")
-                    metrics.inc("engine.cycles", cycles, stage="backward",
-                                strategy="batched")
+                for lv in reversed(fls[1:-1]):
+                    record_level(rt, LevelTrace(
+                        depth=lv.depth, stage="backward", strategy="batched",
+                        frontier_size=lv.frontier_size,
+                        edge_frontier=lv.edge_frontier,
+                        cycles=self.costs.batched_backward(lv.edge_frontier,
+                                                           device_chunk)),
+                        metrics)
                 trace.roots.append(rt)
                 serial_cycles += rt.cycles
                 metrics.inc("engine.roots", batch.size)
                 bc += plan.weighted_sum(batch, delta)
             # Batches own the whole device sequentially; any overflow
             # retries run per-SM alongside.
-            retry_makespan, _ = _list_schedule(fallback_cycles,
-                                               self.spec.num_sms)
-            makespan2 = serial_cycles + retry_makespan
-            per_sm = np.full(self.spec.num_sms, makespan2)
+            makespan = serial_cycles + _list_schedule(retry_cycles,
+                                                      num_sms)[0]
+            per_sm = np.full(num_sms, makespan)
         else:
-            for s in phase2:
-                trace.roots.append(_run_root(
-                    plan, s, bc, FixedPolicy(WORK_EFFICIENT), self.costs,
-                    chunk, metrics=metrics, observer=observer))
-            makespan2, per_sm = _list_schedule(
-                [rt.cycles for rt in trace.roots[phase2_start:]],
-                self.spec.num_sms
-            )
-        makespan = makespan1 + makespan2
-        trace.makespan_cycles = makespan
+            cycles = [per_root(s, policy) for s in rest]
+            if strategy == GPU_FAN:
+                makespan = float(sum(cycles))
+                per_sm = np.full(num_sms, makespan)
+            else:
+                makespan, per_sm = _list_schedule(cycles, num_sms)
+        trace.makespan_cycles = fixed_cycles + makespan
         trace.sm_cycles = per_sm
-        chose = use_batched and not per_root_fallback
-        return trace, makespan, chose, makespan1, int(phase1.size)
+        return _Schedule(trace, fixed_cycles, k, chose)

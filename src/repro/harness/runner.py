@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..bc.policies import DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_MIN_FRONTIER
 from ..graph.csr import CSRGraph
 from ..graph.generators.suite import DATASETS, make_dataset
 from ..gpusim.device import Device, DeviceRun
@@ -60,17 +61,17 @@ class ExperimentConfig:
     @property
     def alpha(self) -> int:
         """Hybrid frontier-change threshold, scaled from 768."""
-        return max(2, int(768 / self._threshold_divisor))
+        return max(2, int(DEFAULT_ALPHA / self._threshold_divisor))
 
     @property
     def beta(self) -> int:
         """Hybrid next-frontier threshold, scaled from 512."""
-        return max(2, int(512 / self._threshold_divisor))
+        return max(2, int(DEFAULT_BETA / self._threshold_divisor))
 
     @property
     def min_frontier(self) -> int:
         """Sampling per-iteration edge-parallel guard, scaled from 512."""
-        return max(2, int(512 / self._threshold_divisor))
+        return max(2, int(DEFAULT_MIN_FRONTIER / self._threshold_divisor))
 
 
 def load_suite_graph(name: str, cfg: ExperimentConfig) -> CSRGraph:

@@ -43,13 +43,6 @@ class TestDependencyAccumulation:
         delta = dependency_accumulation(two_components, fwd)
         assert np.all(delta[[3, 4, 5, 6]] == 0.0)
 
-    def test_on_level_order_is_deepest_first(self, path5):
-        fwd = forward_sweep(path5, 0)
-        seen = []
-        dependency_accumulation(path5, fwd,
-                                on_level=lambda d, lv: seen.append(d))
-        assert seen == [3, 2, 1]
-
     def test_single_vertex_graph(self):
         g = from_edges([], num_vertices=1)
         fwd = forward_sweep(g, 0)

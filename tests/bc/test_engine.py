@@ -1,10 +1,11 @@
-"""Unit tests for the per-root engine (values + cost charging + traces)."""
+"""Unit tests for the per-root engine (values + cost replay + traces)."""
 
 import numpy as np
 import pytest
 
 from repro.bc.brandes import brandes_reference
-from repro.bc.engine import run_root
+from repro.bc.engine import charge_levels, run_root
+from repro.bc.frontier import forward_sweep
 from repro.bc.policies import (
     EDGE_PARALLEL,
     GPU_FAN,
@@ -102,6 +103,31 @@ class TestTraces:
         used = tr.strategies_used()
         assert used[0] == WORK_EFFICIENT  # hybrid always starts WE
         assert set(used) <= {WORK_EFFICIENT, EDGE_PARALLEL}
+
+
+class TestReplay:
+    def test_replay_is_run_roots_trace(self, small_sw):
+        """run_root's trace is exactly the replay of its own sweep."""
+        policy = HybridPolicy(alpha=2, beta=10)
+        tr = run_root(small_sw, 5, np.zeros(small_sw.num_vertices), policy,
+                      COSTS, CHUNK)
+        replay = charge_levels(small_sw, forward_sweep(small_sw, 5).levels,
+                               policy, COSTS, CHUNK)
+        assert replay.root == 5
+        assert replay.levels == tr.levels
+
+    def test_one_sweep_charged_under_every_policy(self, small_sw):
+        """The replay reads levels only: one traversal prices every
+        strategy, and the levels come back untouched."""
+        fwd = forward_sweep(small_sw, 0)
+        before = [lv.copy() for lv in fwd.levels]
+        we, ep = (charge_levels(small_sw, fwd.levels, FixedPolicy(s),
+                                COSTS, CHUNK)
+                  for s in (WORK_EFFICIENT, EDGE_PARALLEL))
+        assert [lv.frontier_size for lv in we.levels] == \
+            [lv.frontier_size for lv in ep.levels]
+        assert we.cycles != ep.cycles
+        assert all(np.array_equal(a, b) for a, b in zip(before, fwd.levels))
 
 
 class TestCostCharging:

@@ -43,12 +43,10 @@ class TestForwardSweep:
         with pytest.raises(IndexError):
             forward_sweep(fig1, 100)
 
-    def test_on_level_callback_sequence(self, path5):
-        calls = []
-        forward_sweep(path5, 0,
-                      on_level=lambda d, f, q: calls.append((d, f.size, q)))
-        # 5 levels; the last sees an empty next queue.
-        assert calls == [(0, 1, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 1, 0)]
+    def test_level_sequence(self, path5):
+        fwd = forward_sweep(path5, 0)
+        # 5 one-vertex levels in BFS order; nothing follows the last.
+        assert [lv.tolist() for lv in fwd.levels] == [[0], [1], [2], [3], [4]]
 
     def test_sigma_counts_parallel_paths(self):
         # Diamond: 0-1, 0-2, 1-3, 2-3: two shortest paths 0->3.

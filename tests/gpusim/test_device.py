@@ -46,6 +46,27 @@ class TestRunBC:
         with pytest.raises(StrategyError):
             dev.run_bc(fig1, strategy="magic")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"strategy": "sampling", "n_samps": -3},
+        {"strategy": "batched", "n_samps": -1},
+        {"strategy": "batched", "batch_size": 0},
+        {"strategy": "sampling", "min_frontier": -1},
+        {"strategy": "work-efficient", "batch_size": -2},
+    ], ids=["sampling-n_samps", "batched-n_samps", "batch_size",
+            "min_frontier", "any-strategy"])
+    def test_bad_parameters_rejected_before_traversal(self, dev, fig1,
+                                                      kwargs, monkeypatch):
+        from repro.observability import MetricsRegistry
+
+        def no_traversal(*args, **kw):
+            raise AssertionError("traversed before validating")
+
+        monkeypatch.setattr("repro.bc.engine.forward_sweep", no_traversal)
+        metrics = MetricsRegistry()
+        with pytest.raises(StrategyError):
+            dev.run_bc(fig1, roots=np.arange(8), metrics=metrics, **kwargs)
+        assert metrics.events == []
+
     def test_roots_subset(self, dev, fig1):
         run = dev.run_bc(fig1, strategy="work-efficient", roots=[0, 3])
         expect = brandes_reference(fig1, sources=[0, 3])

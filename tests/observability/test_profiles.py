@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.graph.generators.suite import make_dataset
 from repro.gpusim import Device
 from repro.observability import MetricsRegistry, dumps, run_profile
 
@@ -38,18 +39,34 @@ class TestRunProfile:
                 assert row["cycles"] == lv.cycles
 
     def test_forward_frontiers_match_metrics_counters(self, device_run):
-        """The engine.* counters and the trace describe the same sweep."""
-        _, run, metrics = device_run
-        fwd = [lv for rt in run.trace.roots for lv in rt.levels
-               if lv.stage == "forward"]
-        levels = sum(c.value for c in metrics.counters()
-                     if c.name == "engine.levels"
-                     and c.labels.get("stage") == "forward")
-        vertices = sum(c.value for c in metrics.counters()
-                       if c.name == "engine.frontier_vertices"
-                       and c.labels.get("stage") == "forward")
-        assert levels == len(fwd)
-        assert vertices == sum(lv.frontier_size for lv in fwd)
+        """The engine.* counters and the trace describe the same sweep,
+        forward and backward, on the per-root engine (hybrid) and on
+        the batched frontier-matrix path alike."""
+        _, hybrid, hybrid_metrics = device_run
+        g = make_dataset("kron_g500-logn20", scale_factor=1024)
+        batched_metrics = MetricsRegistry()
+        batched = Device().run_bc(g, strategy="batched",
+                                  roots=np.arange(16), n_samps=4,
+                                  batch_size=4, metrics=batched_metrics)
+        assert batched.sampling_chose_edge_parallel  # the batches ran
+        for run, metrics in ((hybrid, hybrid_metrics),
+                             (batched, batched_metrics)):
+            for stage in ("forward", "backward"):
+                levels = [lv for rt in run.trace.roots for lv in rt.levels
+                          if lv.stage == stage]
+
+                def total(name, stage=stage, metrics=metrics):
+                    return sum(c.value for c in metrics.counters()
+                               if c.name == name
+                               and c.labels.get("stage") == stage)
+
+                assert total("engine.levels") == len(levels)
+                assert total("engine.frontier_vertices") == sum(
+                    lv.frontier_size for lv in levels)
+                assert total("engine.frontier_edges") == sum(
+                    lv.edge_frontier for lv in levels)
+                assert total("engine.cycles") == pytest.approx(
+                    sum(lv.cycles for lv in levels))
 
     def test_run_and_device_sections(self, device_run):
         g, run, _ = device_run

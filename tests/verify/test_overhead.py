@@ -27,6 +27,9 @@ DATASETS = [
     "luxembourg.osm",
     "smallworld",
 ]
+#: Timed off/sampled pairs; the guard asserts on their median ratio.
+PAIRS = 7
+
 STRATEGIES = [
     "edge-parallel",
     "hybrid",
@@ -47,14 +50,29 @@ def _grid_seconds(graphs, verify):
 
 
 def test_sampled_verification_overhead_within_15_percent():
+    """Timed as alternating ``off``/``sampled`` pairs (which mode runs
+    first alternates too), asserting on the median per-pair ratio: the
+    two grids of a pair run back to back, so host-speed drift between
+    pairs cancels, and one noisy pair cannot fail the guard."""
     graphs = [make_dataset(name, scale_factor=1024, seed=0)
               for name in DATASETS]
     _grid_seconds(graphs, "off")  # warm caches before timing
-    off = min(_grid_seconds(graphs, "off") for _ in range(3))
-    sampled = min(_grid_seconds(graphs, "sampled") for _ in range(3))
-    ratio = sampled / off
+    ratios, offs, sampleds = [], [], []
+    for i in range(PAIRS):
+        if i % 2:
+            sampled = _grid_seconds(graphs, "sampled")
+            off = _grid_seconds(graphs, "off")
+        else:
+            off = _grid_seconds(graphs, "off")
+            sampled = _grid_seconds(graphs, "sampled")
+        ratios.append(sampled / off)
+        offs.append(off)
+        sampleds.append(sampled)
+    ratio = float(np.median(ratios))
     assert ratio <= 1.15, (
         f"sampled verification costs {100 * (ratio - 1):.1f}% over "
-        f"verify=off across the BENCH grid "
-        f"({sampled * 1e3:.0f} ms vs {off * 1e3:.0f} ms); budget is 15%"
+        f"verify=off across the BENCH grid (median of {PAIRS} pairs; "
+        f"median {np.median(sampleds) * 1e3:.0f} ms vs "
+        f"{np.median(offs) * 1e3:.0f} ms; pair ratios "
+        f"{', '.join(f'{r:.2f}' for r in ratios)}); budget is 15%"
     )
