@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,11 +132,14 @@ class FoldResult:
         plans the unfolded run (identical work, zero overhead)."""
         return self.num_folded == 0
 
-    @property
+    @cached_property
     def core_weights(self) -> np.ndarray:
         """Per-core-vertex absorbed weights — the target-weight vector
-        handed to weighted dependency accumulation."""
-        return self.weights[self.core_vertices]
+        handed to weighted dependency accumulation.  One read-only
+        array per fold: the engine's sweep memo keys on its identity."""
+        w = self.weights[self.core_vertices]
+        w.setflags(write=False)
+        return w
 
     def expand(self, core_values: np.ndarray) -> np.ndarray:
         """Scatter a core-space vector back to original vertex ids

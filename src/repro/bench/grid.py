@@ -6,7 +6,11 @@ The document body (schema ``repro.bench/v1``) is *simulated* and
 therefore byte-deterministic for a fixed config — makespan cycles,
 simulated seconds, MTEPS, per-level totals — so perf diffs against it
 are exact; wall-clock measurements of the Python harness itself live
-under the single ``timing`` key the caller may attach.
+under the single ``timing`` key the caller may attach.  Each root is
+swept once per dataset and its traversal reused by every later
+strategy (:mod:`repro.bc.engine`'s sweep memo), so the ``timing`` of
+the first strategy per dataset includes the shared sweeps and the
+later ones are cost replays.
 
 The sampling strategy's run is configured so Algorithm 5's decision is
 actually *exercised*, not just recorded: ``n_samps`` defaults to half

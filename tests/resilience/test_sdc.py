@@ -152,6 +152,43 @@ class TestDevicePath:
                             check_memory=False).bc
         assert not np.allclose(got, reference)
 
+    @pytest.mark.parametrize("verify", ["paranoid", "off"])
+    def test_observed_runs_leave_the_sweep_memo_alone(self, verify):
+        """Bit-flips strike a fresh sweep, never a memoised one: an
+        observed run adds, replaces and mutates no memo entry, and the
+        clean pass after it stays exact."""
+        from repro.bc.engine import sweep_memo
+
+        g = watts_strogatz(32, k=4, p=0.1, seed=3)
+        clean = Device().run_bc(g, roots=np.arange(8), check_memory=False,
+                                fold=False)
+        memo = sweep_memo(g)
+        before = dict(memo.entries)
+        plan = FaultPlan(tuple(FaultEvent(SDC, 0, site=site, root_index=i)
+                               for i, site in enumerate(("sigma", "delta"))))
+        device = FaultyDevice(rank=0, faults=plan.start(seed=0))
+        roots = np.arange(2, 14)  # memoised roots first, then new ones
+        if verify == "paranoid":
+            with pytest.raises(SilentCorruptionError):
+                device.run_bc(g, roots=roots, check_memory=False,
+                              verify=verify, fold=False)
+        else:
+            got = device.run_bc(g, roots=roots, check_memory=False,
+                                fold=False).bc
+            assert not np.allclose(got, brandes_reference(g, sources=roots))
+        assert memo.entries == before
+        again = Device().run_bc(g, roots=np.arange(8), check_memory=False,
+                                fold=False)
+        np.testing.assert_array_equal(again.bc, clean.bc)
+        np.testing.assert_allclose(again.bc,
+                                   brandes_reference(g, sources=range(8)))
+        for sweep, _ in memo.entries.values():
+            arrays = [sweep.s, sweep.ends, sweep.ef, sweep.delta,
+                      *sweep._tables.values()]
+            assert not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError):
+                sweep.delta[0] = 1.0
+
 
 def test_metrics_counters_threaded(graph):
     metrics = MetricsRegistry()
