@@ -12,8 +12,9 @@ import numpy as np
 
 __all__ = [
     "concat_ranges",
+    "sorted_unique",
     "chunk_max_sum",
-    "chunk_sum_of_max",
+    "segment_max_sums",
     "as_index_array",
     "check_nonnegative_int",
 ]
@@ -42,47 +43,63 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         raise ValueError("starts and counts must have the same shape")
     if counts.size == 0:
         return np.empty(0, dtype=np.int64)
-    if np.any(counts < 0):
+    if counts.min() < 0:
         raise ValueError("counts must be non-negative")
-    nz = counts > 0
-    if not np.any(nz):
-        return np.empty(0, dtype=np.int64)
-    starts = starts[nz]
-    counts = counts[nz]
-    total = int(counts.sum())
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    cum = np.cumsum(counts)
-    # At each range boundary, jump from the end of the previous range to
-    # the start of the next one.
-    out[cum[:-1]] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(out)
+    ends = np.cumsum(counts)
+    # Output slot k of range i holds starts[i] + (k - (ends[i] - counts[i])).
+    return (np.arange(ends[-1], dtype=np.int64)
+            + np.repeat(starts - ends + counts, counts))
 
 
-def chunk_max_sum(weights: np.ndarray, chunk: int) -> int:
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for a 1-D integer array, by sort and mask
+    (the frontier deduplication of every BFS level, where NumPy's
+    hash-based ``unique`` is several times slower)."""
+    values = np.sort(values)
+    if values.size < 2:
+        return values
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def chunk_max_sum(weights: np.ndarray, chunk: int) -> float:
     """Sum of per-chunk maxima of ``weights`` split into chunks of ``chunk``.
 
     Models serialised execution of a group of ``chunk`` concurrent threads
     where each thread performs ``weights[i]`` sequential units of work:
     the group finishes when its slowest thread does, so the total time of
     all groups is the sum of per-group maxima.  An empty ``weights`` costs
-    zero.
+    zero.  The one-segment case of :func:`segment_max_sums`.
     """
     weights = np.asarray(weights)
     if chunk <= 0:
         raise ValueError("chunk must be positive")
-    k = weights.size
-    if k == 0:
-        return 0
-    pad = (-k) % chunk
-    if pad:
-        weights = np.concatenate([weights, np.zeros(pad, dtype=weights.dtype)])
-    return int(weights.reshape(-1, chunk).max(axis=1).sum())
+    blocks = np.arange(weights.size) // chunk
+    return float(segment_max_sums(weights, np.zeros(weights.size, np.int64),
+                                  blocks, 1)[0])
 
 
-def chunk_sum_of_max(weights: np.ndarray, chunk: int) -> int:
-    """Alias kept for readability at call sites (same as :func:`chunk_max_sum`)."""
-    return chunk_max_sum(weights, chunk)
+def segment_max_sums(weights: np.ndarray, segments: np.ndarray,
+                     blocks: np.ndarray, num_segments: int) -> np.ndarray:
+    """Per segment, the sum over its blocks of each block's largest weight.
+
+    Entry ``i`` belongs to group ``(segments[i], blocks[i])``; the result
+    has ``num_segments`` float entries, zero for a segment with no
+    entries.  This is :func:`chunk_max_sum` for many levels at once: a
+    segment is a BFS level and a block one chunk of concurrent threads.
+    Maxima are summed as floats, in block order within each segment.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.size == 0:
+        return np.zeros(num_segments)
+    width = int(blocks.max()) + 1
+    key = np.asarray(segments, dtype=np.int64) * width + blocks
+    if np.any(key[1:] < key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key, weights = key[order], weights[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return np.bincount(key[starts] // width,
+                       weights=np.maximum.reduceat(weights, starts),
+                       minlength=num_segments)
 
 
 def as_index_array(x, n: int, name: str = "indices") -> np.ndarray:

@@ -8,11 +8,12 @@ in the thread-to-work assignment being costed — so one call to
    level-synchronous BFS with path counting, strategy-free.
 2. **Accumulate** — :func:`~repro.bc.accumulation.dependency_accumulation`,
    the same Stage 2 :func:`~repro.bc.betweenness_centrality` runs.
-3. **Replay** — :func:`charge_levels` walks the sweep's levels once and
-   charges each under the strategy the policy selected for that
-   iteration (forward, then backward under the same per-depth
-   strategy), recording the policy's ``decision.*`` events.  It never
-   touches values.
+3. **Replay** — :func:`charge_levels` asks the policy for every
+   depth's strategy (recording its ``decision.*`` events), reads each
+   level's cycles from whole-sweep tables priced in one vectorised
+   call per (stage, strategy) — forward, then backward under the same
+   per-depth strategy — and returns a columnar
+   :class:`~repro.gpusim.trace.RootTrace`.  It never touches values.
 
 Traverse once, charge many: steps 1 and 2 depend only on the graph, the
 root and the target weights, so their outcome is kept as a
@@ -31,26 +32,18 @@ come from the charged cycles.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import StrategyError
 from ..graph.csr import CSRGraph
-from ..gpusim.cost import CostModel
-from ..gpusim.trace import LevelTrace, RootTrace
+from ..gpusim.cost import CostModel, Levels
+from ..gpusim.trace import KERNELS, STAGES, RootTrace
 from ..observability.registry import NULL_REGISTRY
 from .accumulation import dependency_accumulation
 from .frontier import ForwardResult, forward_sweep
-from .policies import (
-    EDGE_PARALLEL,
-    GPU_FAN,
-    VERTEX_PARALLEL,
-    WORK_EFFICIENT,
-    Policy,
-)
+from .policies import FixedPolicy, Policy
 
-__all__ = ["run_root", "charge_levels", "record_level", "Sweep",
+__all__ = ["run_root", "charge_levels", "record_trace", "Sweep",
            "sweep_memo", "SWEEP_MEMO_BYTES"]
 
 #: Byte budget of one graph's sweep memo: every array its entries hold,
@@ -71,9 +64,9 @@ class Sweep:
     ``s`` and ``ends`` are the paper's ``S`` and ``ends`` arrays (the
     visit order and each depth's offsets into it), ``ef`` each depth's
     edge frontier, ``delta`` the root's dependencies under ``weights``
-    (``None`` until :meth:`keep`).  Cycles are priced per depth on
-    first use, one float table per pricing context.  Every array is
-    read-only: a memoised sweep is shared by every later run.
+    (``None`` until :meth:`keep`).  Cycles are priced for every depth at
+    once on first use, one float table per pricing context.  Every
+    array is read-only: a memoised sweep is shared by every later run.
     """
 
     __slots__ = ("s", "ends", "ef", "delta", "weights", "_tables")
@@ -101,21 +94,21 @@ class Sweep:
             arrays.append(self.delta)
         return sum(a.nbytes for a in arrays)
 
-    def cycles(self, context: tuple) -> np.ndarray:
-        """Per-depth cycle table of one pricing context (NaN where a
-        depth is not priced yet); fill it through :meth:`price`."""
+    def cycles(self, g: CSRGraph, costs: CostModel, stage: str,
+               strategy: str, chunk: int,
+               device_chunk: int | None) -> np.ndarray:
+        """Per-depth cycles of ``stage`` under ``strategy``: the whole
+        table priced in one call on first use, then read back."""
+        context = (stage, strategy, costs, chunk, device_chunk)
         table = self._tables.get(context)
         if table is None:
-            table = self._tables[context] = _frozen(
-                np.full(self.ends.size - 1, np.nan))
+            indptr = g.indptr
+            levels = Levels(self.ends, self.s,
+                            indptr[self.s + 1] - indptr[self.s], self.ef,
+                            g.num_vertices, g.num_directed_edges)
+            table = self._tables[context] = _frozen(costs.level_cycles(
+                stage, strategy, levels, chunk, device_chunk))
         return table
-
-    @staticmethod
-    def price(table: np.ndarray, depth: int, cycles: float) -> float:
-        table.setflags(write=True)
-        table[depth] = cycles
-        table.setflags(write=False)
-        return float(table[depth])
 
 
 class _SweepMemo:
@@ -163,63 +156,54 @@ def sweep_memo(g: CSRGraph) -> _SweepMemo:
     return memo
 
 
-class _Level(NamedTuple):
-    """What a kernel's charge reads about one level."""
-
-    g: CSRGraph
-    frontier: np.ndarray
-    degrees: np.ndarray  # degree of each frontier vertex
-    ef: int  # edge frontier: sum of ``degrees``
-    chunk: int
-    device_chunk: int | None
-
-    def masked(self) -> np.ndarray:
-        """Per-vertex degrees, zero off the frontier (what a
-        vertex-parallel kernel's n threads see)."""
-        masked = np.zeros(self.g.num_vertices, dtype=np.int64)
-        masked[self.frontier] = self.degrees
-        return masked
-
-
-#: The one cost dispatch: cycles of one level, keyed by
-#: ``(stage, strategy)``.
-_CHARGES = {
-    ("forward", WORK_EFFICIENT):
-        lambda c, x: c.we_forward(x.degrees, x.chunk),
-    ("backward", WORK_EFFICIENT):
-        lambda c, x: c.we_backward(x.degrees, x.chunk),
-    ("forward", EDGE_PARALLEL):
-        lambda c, x: c.ep_forward(x.g.num_directed_edges, x.ef, x.chunk),
-    ("backward", EDGE_PARALLEL):
-        lambda c, x: c.ep_backward(x.g.num_directed_edges, x.ef, x.chunk),
-    ("forward", VERTEX_PARALLEL):
-        lambda c, x: c.vp_forward(x.g.num_vertices, x.masked(), x.chunk),
-    ("backward", VERTEX_PARALLEL):
-        lambda c, x: c.vp_backward(x.g.num_vertices, x.masked(), x.chunk),
-    ("forward", GPU_FAN):
-        lambda c, x: c.gpu_fan_forward(x.g.num_directed_edges, x.ef,
-                                       x.device_chunk),
-    ("backward", GPU_FAN):
-        lambda c, x: c.gpu_fan_backward(x.g.num_directed_edges, x.ef,
-                                        x.device_chunk),
-}
-
-
-def record_level(trace: RootTrace, level: LevelTrace, metrics) -> None:
-    """Append ``level`` to ``trace`` and count it in the per-level
-    ``engine.*`` series — the one recorder for engine levels and the
-    device's batched frontier-matrix levels alike."""
-    trace.add(level)
+def record_trace(trace: RootTrace, metrics) -> None:
+    """Count ``trace``'s levels in the ``engine.*`` series, one call
+    per (stage, strategy) present — the one recorder for engine roots
+    and the device's batched frontier-matrix batches alike."""
     if not metrics.enabled:
         return
-    stage, strategy = level.stage, level.strategy
-    metrics.inc("engine.levels", stage=stage, strategy=strategy)
-    metrics.inc("engine.frontier_vertices", level.frontier_size, stage=stage)
-    metrics.inc("engine.frontier_edges", level.edge_frontier, stage=stage)
-    metrics.inc("engine.cycles", level.cycles, stage=stage, strategy=strategy)
-    if stage == "forward":
-        metrics.observe("engine.frontier_size", level.frontier_size,
-                        stage=stage)
+    stages, k = trace.stages, len(KERNELS)
+    group = stages * k + trace.kernels
+    levels = np.bincount(group, minlength=2 * k)
+    cycles = np.bincount(group, weights=trace.level_cycles, minlength=2 * k)
+    for key in np.flatnonzero(levels).tolist():
+        labels = {"stage": STAGES[key // k], "strategy": KERNELS[key % k]}
+        metrics.inc("engine.levels", levels[key], **labels)
+        metrics.inc("engine.cycles", cycles[key], **labels)
+    for code in np.unique(stages).tolist():
+        at = stages == code
+        metrics.inc("engine.frontier_vertices", trace.frontiers[at].sum(),
+                    stage=STAGES[code])
+        metrics.inc("engine.frontier_edges", trace.edge_frontiers[at].sum(),
+                    stage=STAGES[code])
+    metrics.observe_many("engine.frontier_size",
+                         trace.frontiers[stages == 0], stage="forward")
+
+
+def _decide(policy: Policy, sizes: list, root: int, metrics) -> list:
+    """The policy's strategy for every depth, recording the pinned
+    ``decision.*`` events.  Level ``d``'s successor is decided from the
+    sizes of levels ``d`` and ``d + 1`` (Algorithm 4's inputs); a
+    ``decision.step`` is taken only when a next level exists."""
+    initial = policy.initial_decision()
+    if metrics.keeps_events:
+        metrics.record("decision.initial", root=root,
+                       applies_to_depth=0, strategy=initial.strategy,
+                       policy=initial.policy, rule=initial.rule,
+                       **initial.inputs)
+    strategy = initial.strategy
+    by_depth = [strategy]
+    for depth in range(len(sizes) - 1):
+        decision = policy.decide(strategy, sizes[depth], sizes[depth + 1])
+        if metrics.keeps_events:
+            metrics.record("decision.step", root=root, depth=depth,
+                           applies_to_depth=depth + 1, previous=strategy,
+                           strategy=decision.strategy,
+                           policy=decision.policy, rule=decision.rule,
+                           **decision.inputs)
+        strategy = decision.strategy
+        by_depth.append(strategy)
+    return by_depth
 
 
 def charge_levels(
@@ -233,71 +217,31 @@ def charge_levels(
 ) -> RootTrace:
     """Replay one exact traversal (``sweep``, of ``g``) under ``policy``.
 
-    Forward, level ``d`` is charged under the strategy in force, then
-    the policy decides the strategy of level ``d + 1`` from the sizes
-    of levels ``d`` and ``d + 1`` (Algorithm 4's inputs); a
-    ``decision.step`` event is recorded only when a next level exists.
-    Backward, levels ``len - 2 .. 1`` are charged under their forward
-    strategy (the deepest level has no successors and the root
-    contributes nothing).  Pure cost: no value is computed or changed.
-    A level's cycles are priced once per pricing context and read from
-    ``sweep``'s tables on every later replay.
+    The policy picks every depth's strategy first (a fixed policy
+    recording no events skips that loop); each forward level is then
+    charged under its strategy, and backward levels ``len - 2 .. 1``
+    under their forward strategy (the deepest level has no successors
+    and the root contributes nothing).  Each (stage, strategy) table is
+    priced for the whole sweep in one call per pricing context and read
+    from ``sweep`` on every later replay.  Pure cost: no value is
+    computed or changed.
     """
-    s, ends = sweep.s, sweep.ends
-    sizes = np.diff(ends).tolist()
-    ef = sweep.ef.tolist()
-    root = int(s[0])
-    trace = RootTrace(root=root)
-    by_depth: list = []
-    tables: dict = {}
-
-    def charge(depth: int, stage: str, strategy: str) -> None:
-        table = tables.get((stage, strategy))
-        if table is None:
-            if (stage, strategy) not in _CHARGES:
-                raise StrategyError(f"unknown strategy {strategy!r}")
-            if strategy == GPU_FAN and device_chunk is None:
-                raise StrategyError("gpu-fan strategy requires device_chunk")
-            table = tables[stage, strategy] = sweep.cycles(
-                (stage, strategy, costs, chunk, device_chunk))
-        cycles = float(table[depth])
-        if cycles != cycles:  # NaN: first replay of this depth here
-            frontier = s[ends[depth]:ends[depth + 1]]
-            fdeg = g.indptr[frontier + 1] - g.indptr[frontier]
-            x = _Level(g, frontier, fdeg, ef[depth], chunk, device_chunk)
-            cycles = sweep.price(table, depth,
-                                 _CHARGES[stage, strategy](costs, x))
-        record_level(trace, LevelTrace(
-            depth=depth, stage=stage, strategy=strategy,
-            frontier_size=sizes[depth], edge_frontier=ef[depth],
-            cycles=cycles), metrics)
-
-    initial = policy.initial_decision()
-    if metrics.enabled:
-        metrics.record("decision.initial", root=root,
-                       applies_to_depth=0, strategy=initial.strategy,
-                       policy=initial.policy, rule=initial.rule,
-                       **initial.inputs)
-    strategy = initial.strategy
-    for depth in range(len(sizes)):
-        charge(depth, "forward", strategy)
-        by_depth.append(strategy)
-        q_next = sizes[depth + 1] if depth + 1 < len(sizes) else 0
-        if q_next > 0:
-            # The decision taken after level `depth` governs level
-            # `depth + 1`; an empty next frontier ends the sweep, so
-            # there is no decision to take.
-            decision = policy.decide(strategy, sizes[depth], q_next)
-            if metrics.enabled:
-                metrics.record("decision.step", root=root, depth=depth,
-                               applies_to_depth=depth + 1,
-                               previous=strategy,
-                               strategy=decision.strategy,
-                               policy=decision.policy, rule=decision.rule,
-                               **decision.inputs)
-            strategy = decision.strategy
-    for depth in range(len(sizes) - 2, 0, -1):
-        charge(depth, "backward", by_depth[depth])
+    sizes = np.diff(sweep.ends)
+    root = int(sweep.s[0])
+    if isinstance(policy, FixedPolicy) and not metrics.keeps_events:
+        by_depth = [policy.strategy]
+    else:
+        by_depth = _decide(policy, sizes.tolist(), root, metrics)
+    used = list(dict.fromkeys(by_depth))
+    pick = (np.zeros(sizes.size, np.intp) if len(used) == 1
+            else np.array([used.index(s) for s in by_depth]))
+    forward, backward = (np.choose(pick, [
+        sweep.cycles(g, costs, stage, s, chunk, device_chunk) for s in used])
+        for stage in STAGES)
+    kernels = np.array([KERNELS.index(s) for s in used], np.int8)[pick]
+    trace = RootTrace.sweep(root, kernels, sizes, sweep.ef, forward,
+                            backward)
+    record_trace(trace, metrics)
     return trace
 
 
@@ -330,12 +274,13 @@ def run_root(
         Device-wide concurrency, required for the ``gpu-fan`` strategy
         (all SMs cooperate on a single root).
     metrics:
-        Optional :class:`~repro.observability.MetricsRegistry`; records
-        per-level ``engine.*`` counters (frontier/edge counts, cycles,
-        strategy chosen per level) and ``decision.*`` trace events (the
-        policy's per-iteration strategy selections with their full α/β
-        inputs, consumed by :mod:`repro.observability.trace`).  Defaults
-        to the no-op registry, so uninstrumented runs pay nothing.
+        Optional :class:`~repro.observability.MetricsRegistry`; adds the
+        root's levels to the ``engine.*`` series (frontier/edge counts,
+        cycles, levels per strategy), once per root, and records
+        ``decision.*`` trace events (the policy's per-iteration strategy
+        selections with their full α/β inputs, consumed by
+        :mod:`repro.observability.trace`).  Defaults to the no-op
+        registry, so uninstrumented runs pay nothing.
     observer:
         Optional hook with ``after_forward(fwd)`` and
         ``after_accumulation(fwd, delta)`` methods, called after the

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import concat_ranges
+from .._util import concat_ranges, sorted_unique
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
 
@@ -116,7 +116,7 @@ def forward_sweep(g: CSRGraph, source: int, metrics=None) -> ForwardResult:
         srcs = np.repeat(frontier, counts)
         # Discovery: first touch sets the depth (atomicCAS, line 5).
         fresh = nbrs[d[nbrs] == UNREACHED]
-        q_next = np.unique(fresh) if fresh.size else fresh
+        q_next = sorted_unique(fresh)
         if q_next.size:
             d[q_next] = depth + 1
         # Path counting: every tree/cross edge into depth+1 contributes

@@ -143,7 +143,7 @@ def run_bench_grid(
             run = device.run_bc(g, strategy=strategy, roots=sample,
                                 metrics=metrics, fold=fold, **kwargs)
             wall_per_run[f"{name}/{strategy}"] = wall_clock() - t0
-            levels = sum(len(rt.levels) for rt in run.trace.roots)
+            levels = sum(rt.depths.size for rt in run.trace.roots)
             decision = _sampling_decision(metrics)
             results.append({
                 "dataset": name,

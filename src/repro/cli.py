@@ -406,7 +406,7 @@ def _render_profile(args, metrics) -> str:
         f"makespan cycles  : {run.cycles:.0f} "
         f"({run.seconds * 1e3:.3f} simulated ms, {run.mteps():.1f} MTEPS)",
         f"levels traced    : "
-        f"{sum(len(rt.levels) for rt in run.trace.roots)}",
+        f"{sum(rt.depths.size for rt in run.trace.roots)}",
     ]
     if args.trace_out:
         from .observability import trace_document
@@ -561,7 +561,7 @@ def _service_main(argv) -> int:
         if args.service_command == "serve":
             from .observability import MetricsRegistry
 
-            metrics = MetricsRegistry()
+            metrics = MetricsRegistry(events=False)
             policy = AdmissionPolicy(
                 max_queue=args.max_queue,
                 degrade_threshold=args.degrade_threshold,

@@ -17,21 +17,51 @@ about (Sections III and IV):
   on all n vertices every level (the O(n^2 + m) traversal).
 * Every level costs one kernel launch / device-wide barrier.
 
-All methods return cycles for ONE thread block (one SM) processing one
-level of one root, except the GPU-FAN variant, which cooperates across
-the whole device (``device_chunk``).
+Each (stage, strategy) formula is written once, vectorised over every
+level of a sweep (:meth:`CostModel.level_cycles`, one call per sweep);
+the per-level methods (``we_forward`` etc.) apply the same formula to a
+single level.  Cycles are those of ONE thread block (one SM) processing
+a level of one root, except the GPU-FAN and batched variants, which
+cooperate across the whole device (``device_chunk``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .._util import chunk_max_sum
+from .._util import segment_max_sums
+from ..errors import StrategyError
 
-__all__ = ["CostModel", "DEFAULT_COSTS"]
+__all__ = ["CostModel", "DEFAULT_COSTS", "Levels"]
+
+
+class Levels(NamedTuple):
+    """What pricing reads about a run of BFS levels, laid out as the
+    paper's ``S``/``ends`` arrays (Algorithms 2 and 3): level ``d`` is
+    ``vertices[ends[d]:ends[d + 1]]``."""
+
+    ends: np.ndarray
+    vertices: np.ndarray  # S: vertex ids in visit order
+    degrees: np.ndarray  # out-degree of each entry of ``vertices``
+    ef: np.ndarray  # per-level edge frontier (sum of its degrees)
+    num_vertices: int = 0
+    num_directed_edges: int = 0
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.ends)
+
+    @classmethod
+    def one(cls, degrees) -> "Levels":
+        """A single level whose frontier has the given degrees."""
+        degrees = np.asarray(degrees)
+        return cls(np.array([0, degrees.size]), np.arange(degrees.size),
+                   degrees, np.array([degrees.sum()]))
+
 
 
 @dataclass(frozen=True)
@@ -127,106 +157,131 @@ class CostModel:
         long = deg - short
         return short * self.edge_scattered + long * self.edge_streamed
 
-    def _serialized(self, row_cycles: np.ndarray, chunk: int) -> float:
-        """Chunked execution time of per-thread costs (see module doc)."""
-        row_cycles = np.asarray(row_cycles)
-        if row_cycles.size == 0:
-            return 0.0
+    def _serialized(self, lv: Levels, blocks: np.ndarray,
+                    chunk: int) -> np.ndarray:
+        """Per-level chunked execution time of the levels' threads,
+        ``blocks`` naming each thread's chunk within its level (see
+        module doc)."""
+        rows = self._row_cycles(lv.degrees)
+        level = np.repeat(np.arange(lv.sizes.size), lv.sizes)
         if self.imbalance:
-            return float(chunk_max_sum(row_cycles, chunk))
-        return float(row_cycles.sum()) / chunk
+            return segment_max_sums(rows, level, blocks, lv.sizes.size)
+        return np.bincount(level, weights=rows,
+                           minlength=lv.sizes.size) / chunk
 
-    # -- work-efficient (Algorithms 2 and 3) --------------------------
+    # -- whole sweeps: one vectorised formula per (stage, strategy) ----
+    def level_cycles(self, stage: str, strategy: str, lv: Levels, chunk: int,
+                     device_chunk: int | None = None) -> np.ndarray:
+        """Cycles of every level of ``lv`` processed by ``strategy`` in
+        ``stage`` (``"forward"`` or ``"backward"``), one float per level."""
+        backward = stage == "backward"
+        if strategy == "work-efficient":
+            return self._work_efficient(lv, chunk, backward)
+        if strategy == "vertex-parallel":
+            return self._vertex_parallel(lv, chunk, backward)
+        if strategy == "edge-parallel":
+            return self._edge_scan(lv.num_directed_edges, lv.ef, chunk, 1.0)
+        if strategy == "gpu-fan":
+            if device_chunk is None:
+                raise StrategyError("gpu-fan strategy requires device_chunk")
+            return self._edge_scan(lv.num_directed_edges, lv.ef, device_chunk,
+                                   self.gpu_fan_sync_multiplier)
+        raise StrategyError(f"unknown strategy {strategy!r}")
+
+    def _work_efficient(self, lv: Levels, chunk: int,
+                        backward: bool) -> np.ndarray:
+        """Algorithms 2 and 3: each level's frontier, in queue order,
+        runs in chunks of ``chunk`` threads."""
+        position = np.arange(lv.degrees.size) - np.repeat(lv.ends[:-1],
+                                                          lv.sizes)
+        serial = self._serialized(lv, position // chunk, chunk)
+        passes = -(-lv.sizes // chunk)
+        if backward:
+            # Atomic-free successor scan, then read the S segment.
+            cycles = serial * 0.8 + passes * self.queue_op
+        else:
+            # Q_next -> Q_curr copy and S append.
+            cycles = serial + passes * self.queue_op * 2
+            if self.enqueue == "prefix-sum":
+                # Cooperative enqueue: this SM alone scans every
+                # candidate edge of the level (one flag per inspected
+                # edge), paying O(edge_frontier / chunk) scan passes —
+                # the overhead the paper measured and rejected.
+                ef = lv.ef.astype(np.float64)
+                scans = np.array([math.log2(max(e, 2.0)) for e in ef.tolist()])
+                cycles = cycles + ef / chunk * self.prefix_scan_factor * scans
+            elif self.enqueue != "cas":
+                raise ValueError(f"unknown enqueue mode {self.enqueue!r}")
+        return (cycles + self.launch) * self.cycle_scale
+
+    def _vertex_parallel(self, lv: Levels, chunk: int,
+                         backward: bool) -> np.ndarray:
+        """Jia et al.: every vertex is checked each level, and frontier
+        vertices traverse their edges in place, in chunks of consecutive
+        vertex ids (no queue)."""
+        serial = self._serialized(lv, lv.vertices // chunk, chunk)
+        if backward:
+            serial = serial * 0.8
+        cycles = -(-lv.num_vertices // chunk) * self.vertex_check + serial
+        return (cycles + self.launch) * self.cycle_scale
+
+    def _edge_scan(self, num_directed_edges: int, ef, chunk: int,
+                   sync: float) -> np.ndarray:
+        """Jia et al. / GPU-FAN layout: scan every edge, relax the useful
+        ones (``ef`` per level; atomic in both stages, Section IV-A).
+        GPU-FAN runs it on the whole device (``chunk`` = device
+        concurrency) behind a ``sync``-times costlier global barrier."""
+        cycles = -(-num_directed_edges // chunk) * self.edge_coalesced
+        cycles = cycles + np.asarray(ef) / chunk * self.atomic
+        return (cycles + self.launch * sync) * self.cycle_scale
+
+    # -- one level: the whole-sweep formulas on a single level ---------
     def we_forward(self, frontier_degrees: np.ndarray, chunk: int) -> float:
         """One shortest-path-calculation level, work-efficient kernel."""
-        fdeg = np.asarray(frontier_degrees)
-        f = int(fdeg.size)
-        cycles = self._serialized(self._row_cycles(fdeg), chunk)
-        cycles += math.ceil(f / chunk) * self.queue_op * 2  # Q_next->Q_curr, S append
-        if self.enqueue == "prefix-sum":
-            # Cooperative enqueue: this SM alone scans every candidate
-            # edge of the level (one flag per inspected edge), paying
-            # O(edge_frontier / chunk) scan passes — the overhead the
-            # paper measured and rejected.
-            ef = float(fdeg.sum())
-            passes = math.log2(max(ef, 2.0))
-            cycles += ef / chunk * self.prefix_scan_factor * passes
-        elif self.enqueue != "cas":
-            raise ValueError(f"unknown enqueue mode {self.enqueue!r}")
-        return (cycles + self.launch) * self.cycle_scale
+        return float(self._work_efficient(
+            Levels.one(frontier_degrees), chunk, False)[0])
 
     def we_backward(self, level_degrees: np.ndarray, chunk: int) -> float:
         """One dependency-accumulation level (atomic-free successor scan)."""
-        f = int(np.asarray(level_degrees).size)
-        cycles = self._serialized(self._row_cycles(level_degrees), chunk) * 0.8
-        cycles += math.ceil(f / chunk) * self.queue_op  # read S segment
-        return (cycles + self.launch) * self.cycle_scale
+        return float(self._work_efficient(
+            Levels.one(level_degrees), chunk, True)[0])
 
-    # -- edge-parallel (Jia et al. / GPU-FAN layout) -------------------
     def ep_forward(self, num_directed_edges: int, useful_edges: int,
                    chunk: int) -> float:
         """One forward level: scan all edges, relax the useful ones."""
-        cycles = math.ceil(num_directed_edges / chunk) * self.edge_coalesced
-        cycles += useful_edges / chunk * self.atomic
-        return (cycles + self.launch) * self.cycle_scale
+        return float(self._edge_scan(num_directed_edges, [useful_edges],
+                                     chunk, 1.0)[0])
 
-    def ep_backward(self, num_directed_edges: int, useful_edges: int,
-                    chunk: int) -> float:
-        """One backward level: scan all edges; predecessor updates are
-        atomic in the edge-parallel layout (Section IV-A)."""
-        cycles = math.ceil(num_directed_edges / chunk) * self.edge_coalesced
-        cycles += useful_edges / chunk * self.atomic
-        return (cycles + self.launch) * self.cycle_scale
-
-    # -- vertex-parallel (Jia et al.) ----------------------------------
     def vp_forward(self, num_vertices: int, masked_degrees: np.ndarray,
                    chunk: int) -> float:
         """One forward level: every vertex checked, frontier vertices
-        traverse their edges in-place (no queue)."""
-        cycles = math.ceil(num_vertices / chunk) * self.vertex_check
-        cycles += self._serialized(self._row_cycles(masked_degrees), chunk)
-        return (cycles + self.launch) * self.cycle_scale
+        traverse their edges in-place (no queue).  ``masked_degrees``
+        holds each vertex's degree, zero off the frontier."""
+        masked = np.asarray(masked_degrees)
+        frontier = np.flatnonzero(masked)
+        lv = Levels(np.array([0, frontier.size]), frontier, masked[frontier],
+                    np.array([masked.sum()]), num_vertices)
+        return float(self._vertex_parallel(lv, chunk, False)[0])
 
-    def vp_backward(self, num_vertices: int, masked_degrees: np.ndarray,
-                    chunk: int) -> float:
-        """One backward level of the vertex-parallel kernel."""
-        cycles = math.ceil(num_vertices / chunk) * self.vertex_check
-        cycles += self._serialized(self._row_cycles(masked_degrees), chunk) * 0.8
-        return (cycles + self.launch) * self.cycle_scale
-
-    # -- GPU-FAN -------------------------------------------------------
     def gpu_fan_forward(self, num_directed_edges: int, useful_edges: int,
                         device_chunk: int) -> float:
         """GPU-FAN forward level: whole device on one root, global sync."""
-        cycles = math.ceil(num_directed_edges / device_chunk) * self.edge_coalesced
-        cycles += useful_edges / device_chunk * self.atomic
-        cycles += self.launch * self.gpu_fan_sync_multiplier
-        return cycles * self.cycle_scale
-
-    def gpu_fan_backward(self, num_directed_edges: int, useful_edges: int,
-                         device_chunk: int) -> float:
-        """GPU-FAN backward level."""
-        return self.gpu_fan_forward(num_directed_edges, useful_edges, device_chunk)
+        return float(self._edge_scan(num_directed_edges, [useful_edges],
+                                     device_chunk,
+                                     self.gpu_fan_sync_multiplier)[0])
 
     # -- batched multi-source (Sarıyüce et al., reference [33]) --------
-    def batched_forward(self, edge_pairs: int, device_chunk: int) -> float:
-        """One frontier-matrix level for a whole root batch.
+    def batched_cycles(self, edge_pairs, device_chunk: int) -> np.ndarray:
+        """Frontier-matrix levels of a root batch, forward or backward,
+        one per entry of ``edge_pairs`` (the edge frontier summed over
+        the batch's rows at that level).
 
-        The ``(k, n) x (n, n)`` product streams each active row's edges
-        exactly once — fully coalesced, BLAS-shaped, no queues and no
+        The ``(k, n) x (n, n)`` product (transposed backward) streams
+        each active row's edges exactly once — an edge scan with no
         atomics (path counts accumulate inside the product) — and the
-        whole device cooperates, so one launch covers every root in the
-        batch.  ``edge_pairs`` is the summed edge frontier across the
-        batch's rows at this level.
+        whole device cooperates, so one launch covers the batch.
         """
-        cycles = math.ceil(edge_pairs / device_chunk) * self.edge_coalesced
-        return (cycles + self.launch) * self.cycle_scale
-
-    def batched_backward(self, edge_pairs: int, device_chunk: int) -> float:
-        """One batched dependency-accumulation level (same regular
-        streamed product, transposed)."""
-        cycles = math.ceil(edge_pairs / device_chunk) * self.edge_coalesced
-        return (cycles + self.launch) * self.cycle_scale
+        return self._edge_scan(np.asarray(edge_pairs), 0, device_chunk, 1.0)
 
     # -- variants ------------------------------------------------------
     def without_imbalance(self) -> "CostModel":

@@ -49,7 +49,7 @@ from ..verify import RootChecker, VerificationPolicy
 from .cost import DEFAULT_COSTS, CostModel
 from .memory import DeviceMemoryModel, strategy_footprint
 from .spec import GTX_TITAN, GPUSpec
-from .trace import LevelTrace, RootTrace, RunTrace
+from .trace import KERNELS, RootTrace, RunTrace
 
 __all__ = ["Device", "DeviceRun", "STRATEGIES"]
 
@@ -358,8 +358,8 @@ class Device:
         metrics:
             Optional :class:`~repro.observability.MetricsRegistry`.
             Records ``device.*`` series (roots, cycles, makespan, bytes
-            allocated) plus the per-level ``engine.*`` series of every
-            root, inside a ``device.run_bc`` span, and the run's
+            allocated) plus every root's levels in the ``engine.*``
+            series, inside a ``device.run_bc`` span, and the run's
             decision-trace events (``run.params``, per-level
             ``decision.*``, the sampling classification).  Export the
             finished trace with :func:`repro.observability.run_profile`
@@ -570,33 +570,31 @@ class Device:
 
         if strategy == "batched" and chose and rest.size:
             from ..bc.batched import _adjacency, batched_dependencies
-            from ..bc.engine import record_level
+            from ..bc.engine import record_trace
 
             A = _adjacency(g)
             serial_cycles, retry_cycles = 0.0, []
             for lo in range(0, rest.size, batch_size):
                 batch = rest[lo:lo + batch_size]
                 rep = int(batch[0])
-                rt = RootTrace(root=rep)
-
-                def on_level(depth, pairs, epairs, rt=rt):
-                    record_level(rt, LevelTrace(
-                        depth=depth, stage="forward", strategy="batched",
-                        frontier_size=int(pairs), edge_frontier=int(epairs),
-                        cycles=self.costs.batched_forward(epairs,
-                                                          device_chunk)),
-                        metrics)
-
+                levels = []  # (frontier pairs, edge pairs) per depth
                 try:
                     delta = batched_dependencies(
                         g, batch, A=A, target_weights=plan.target_weights,
-                        on_level=on_level)
+                        on_level=lambda _, *pairs: levels.append(pairs))
                 except FloatingPointError:
                     # Deep traversal overflowed the dense path counts;
                     # the per-root engine rescales sigma per level.
                     metrics.inc("batched.overflow_retries")
                     retry_cycles += [per_root(s, policy) for s in batch]
                     continue
+                # Backward levels mirror the forward ones (each level
+                # scans its own rows' edges, transposed product).
+                pairs, epairs = np.array(levels).T
+                cycles = self.costs.batched_cycles(epairs, device_chunk)
+                rt = RootTrace.sweep(rep, np.full(pairs.size, KERNELS.index(
+                    "batched")), pairs, epairs, cycles, cycles)
+                record_trace(rt, metrics)
                 # Decision audit: one record per executed forward level
                 # (the batch's representative root carries the trace).
                 metrics.record("decision.initial", root=rep,
@@ -609,26 +607,14 @@ class Device:
                                batch_roots=int(batch.size),
                                median_depth=classification["median_depth"],
                                depth_cutoff=classification["depth_cutoff"])
-                fls = rt.forward_levels()
-                for lv in fls[1:]:
+                for depth in range(1, pairs.size):
                     metrics.record("decision.step", root=rep,
-                                   depth=int(lv.depth) - 1,
-                                   applies_to_depth=int(lv.depth),
+                                   depth=depth - 1, applies_to_depth=depth,
                                    previous="batched",
                                    strategy="batched", policy="batched",
                                    rule="batch advances one "
                                         "frontier-matrix step",
                                    batch_roots=int(batch.size))
-                # Backward levels mirror the forward ones (each level
-                # scans its own rows' edges, transposed product).
-                for lv in reversed(fls[1:-1]):
-                    record_level(rt, LevelTrace(
-                        depth=lv.depth, stage="backward", strategy="batched",
-                        frontier_size=lv.frontier_size,
-                        edge_frontier=lv.edge_frontier,
-                        cycles=self.costs.batched_backward(lv.edge_frontier,
-                                                           device_chunk)),
-                        metrics)
                 trace.roots.append(rt)
                 serial_cycles += rt.cycles
                 metrics.inc("engine.roots", batch.size)

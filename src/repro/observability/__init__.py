@@ -40,7 +40,7 @@ from .export import (
 )
 from .profiles import (
     PROFILE_SCHEMA,
-    level_profile,
+    level_rows,
     root_profile,
     run_profile,
     spec_profile,
@@ -91,7 +91,7 @@ __all__ = [
     "explain_lines",
     "frontier_evolution",
     "verify_decisions",
-    "level_profile",
+    "level_rows",
     "root_profile",
     "trace_profile",
     "spec_profile",

@@ -22,11 +22,11 @@ if TYPE_CHECKING:  # type-only: keeps this package dependency-free so the
     # without a cycle.
     from ..gpusim.device import DeviceRun
     from ..gpusim.spec import GPUSpec
-    from ..gpusim.trace import LevelTrace, RootTrace, RunTrace
+    from ..gpusim.trace import RootTrace, RunTrace
 
 __all__ = [
     "PROFILE_SCHEMA",
-    "level_profile",
+    "level_rows",
     "root_profile",
     "trace_profile",
     "spec_profile",
@@ -36,15 +36,11 @@ __all__ = [
 PROFILE_SCHEMA = "repro.profile/v1"
 
 
-def level_profile(lv: LevelTrace) -> dict:
-    return {
-        "depth": int(lv.depth),
-        "stage": lv.stage,
-        "strategy": lv.strategy,
-        "frontier": int(lv.frontier_size),
-        "edge_frontier": int(lv.edge_frontier),
-        "cycles": float(lv.cycles),
-    }
+def level_rows(rt: RootTrace) -> list:
+    """One dict per kernel iteration of ``rt``."""
+    return [{"depth": lv.depth, "stage": lv.stage, "strategy": lv.strategy,
+             "frontier": lv.frontier_size, "edge_frontier": lv.edge_frontier,
+             "cycles": lv.cycles} for lv in rt.levels]
 
 
 def root_profile(rt: RootTrace) -> dict:
@@ -52,7 +48,7 @@ def root_profile(rt: RootTrace) -> dict:
         "root": int(rt.root),
         "cycles": float(rt.cycles),
         "max_depth": int(rt.max_depth),
-        "levels": [level_profile(lv) for lv in rt.levels],
+        "levels": level_rows(rt),
     }
 
 

@@ -40,6 +40,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .clock import SpanClock
 
 __all__ = [
@@ -123,6 +125,17 @@ class Histogram:
         self.count += 1
         self.total += value
 
+    def observe_many(self, values) -> None:
+        """:meth:`observe` every entry of ``values`` in one call."""
+        values = np.asarray(values, dtype=np.float64)
+        if np.isnan(values).any():
+            raise ValueError(f"histogram {self.name!r} cannot observe NaN")
+        slots = np.searchsorted(self.buckets, values, side="left")
+        added = np.bincount(slots, minlength=len(self.counts)).tolist()
+        self.counts = [c + a for c, a in zip(self.counts, added)]
+        self.count += int(values.size)
+        self.total += float(values.sum())
+
 
 @dataclass
 class Span:
@@ -145,8 +158,13 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(self, clock: SpanClock | None = None):
+    def __init__(self, clock: SpanClock | None = None, *, events: bool = True):
         self.clock = clock if clock is not None else SpanClock()
+        #: Whether :meth:`record` keeps events.  A long-lived registry
+        #: (the service daemon's) turns this off so per-run decision
+        #: events do not pile up unread; instrumented code skips
+        #: building events nobody keeps.
+        self.keeps_events = bool(events)
         self._counters: dict = {}
         self._gauges: dict = {}
         self._histograms: dict = {}
@@ -191,14 +209,20 @@ class MetricsRegistry:
                 wall: bool = False, **labels) -> None:
         self.histogram(name, buckets=buckets, wall=wall, **labels).observe(value)
 
+    def observe_many(self, name: str, values, /, buckets=DEFAULT_BUCKETS,
+                     wall: bool = False, **labels) -> None:
+        self.histogram(name, buckets=buckets, wall=wall,
+                       **labels).observe_many(values)
+
     def record(self, kind: str, /, **fields) -> None:
         """Append one structured event ``{"event": kind, **fields}``.
 
         ``kind`` is positional-only so ``event`` itself is a legal field
         name.  Field values must be JSON-serialisable and — for the
         trace-determinism guarantee — derived from simulated state only
-        (no wall-clock readings)."""
-        self.events.append({"event": kind, **fields})
+        (no wall-clock readings).  Dropped unless :attr:`keeps_events`."""
+        if self.keeps_events:
+            self.events.append({"event": kind, **fields})
 
     # -- spans ---------------------------------------------------------
     @contextmanager
@@ -262,7 +286,7 @@ class NullRegistry(MetricsRegistry):
     enabled = False
 
     def __init__(self):
-        super().__init__(clock=SpanClock(wall=lambda: 0.0))
+        super().__init__(clock=SpanClock(wall=lambda: 0.0), events=False)
 
     def inc(self, name, value=1.0, /, **labels):
         pass
@@ -271,6 +295,10 @@ class NullRegistry(MetricsRegistry):
         pass
 
     def observe(self, name, value, /, buckets=DEFAULT_BUCKETS, wall=False, **labels):
+        pass
+
+    def observe_many(self, name, values, /, buckets=DEFAULT_BUCKETS,
+                     wall=False, **labels):
         pass
 
     def record(self, kind, /, **fields):

@@ -30,7 +30,7 @@ import json
 
 from ..errors import TraceFormatError
 from .export import write_json
-from .profiles import level_profile
+from .profiles import level_rows
 from .registry import MetricsRegistry
 
 __all__ = [
@@ -88,10 +88,8 @@ def trace_document(metrics: MetricsRegistry | None = None, run=None,
             "fixed_roots": int(run.fixed_roots),
             "sampling_chose_edge_parallel": run.sampling_chose_edge_parallel,
         }
-        doc["levels"] = [
-            {"root": int(rt.root), **level_profile(lv)}
-            for rt in run.trace.roots for lv in rt.levels
-        ]
+        doc["levels"] = [{"root": rt.root, **row}
+                         for rt in run.trace.roots for row in level_rows(rt)]
     if graph is not None:
         doc["graph"] = {
             "name": graph.name or "",

@@ -96,8 +96,11 @@ class BCService:
         os.makedirs(self.root, exist_ok=True)
         # A real registry by default: admission/scheduler/journal/cache
         # counters are cheap, and `serve --metrics-out` should export
-        # real numbers without the caller having to wire anything.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # real numbers without the caller having to wire anything.  It
+        # keeps no event log: every job's run would add its decision
+        # events to it for the daemon's lifetime, and nothing reads them.
+        self.metrics = (metrics if metrics is not None
+                        else MetricsRegistry(events=False))
         self.storage = (storage if storage is not None
                         else ServiceStorage(metrics=self.metrics))
         self.journal = JobJournal(os.path.join(self.root, "journal.jsonl"),

@@ -1,5 +1,7 @@
 """Unit tests for the per-root engine (values + cost replay + traces)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.bc.policies import (
     HybridPolicy,
 )
 from repro.errors import StrategyError
+from repro.graph.build import from_edges
 from repro.gpusim.cost import CostModel
 
 COSTS = CostModel()
@@ -80,11 +83,11 @@ class TestTraces:
         bc = np.zeros(small_sw.num_vertices)
         tr = run_root(small_sw, 0, bc, FrontierGuardPolicy(min_frontier=10),
                       COSTS, CHUNK)
-        fwd = tr.forward_levels()
-        for prev, lv in zip(fwd, fwd[1:]):
-            expect = (EDGE_PARALLEL if lv.frontier_size >= 10
-                      else WORK_EFFICIENT)
-            assert lv.strategy == expect
+        by_depth = tr.strategy_by_depth()
+        for depth, size in enumerate(tr.vertex_frontier_sizes().tolist()):
+            if depth:
+                expect = EDGE_PARALLEL if size >= 10 else WORK_EFFICIENT
+                assert by_depth[depth] == expect
 
     def test_backward_reuses_forward_strategy(self, small_sw):
         bc = np.zeros(small_sw.num_vertices)
@@ -129,6 +132,151 @@ class TestReplay:
             [lv.frontier_size for lv in ep.levels]
         assert we.cycles != ep.cycles
         assert all(np.array_equal(a, b) for a, b in zip(before, fwd.levels))
+
+
+def literal_level_cycles(costs, stage, strategy, g, frontier, chunk,
+                         device_chunk):
+    """One level priced with a plain per-level loop: the kernels' cost
+    formulas written out, independent of the whole-sweep pricer."""
+    deg = (g.indptr[frontier + 1] - g.indptr[frontier]).astype(np.float64)
+    n, m = g.num_vertices, g.num_directed_edges
+    f, ef = frontier.size, deg.sum()
+
+    def rows(d):
+        short = np.minimum(d, costs.stream_threshold)
+        return short * costs.edge_scattered + (d - short) * costs.edge_streamed
+
+    def serial(r):
+        if not costs.imbalance:
+            return float(r.sum()) / chunk
+        total = 0.0
+        for i in range(0, r.size, chunk):
+            total += float(r[i:i + chunk].max())
+        return total
+
+    if strategy == WORK_EFFICIENT and stage == "forward":
+        c = serial(rows(deg)) + math.ceil(f / chunk) * costs.queue_op * 2
+        if costs.enqueue == "prefix-sum":
+            c += (ef / chunk * costs.prefix_scan_factor
+                  * math.log2(max(ef, 2.0)))
+        return (c + costs.launch) * costs.cycle_scale
+    if strategy == WORK_EFFICIENT:
+        c = serial(rows(deg)) * 0.8 + math.ceil(f / chunk) * costs.queue_op
+        return (c + costs.launch) * costs.cycle_scale
+    if strategy == VERTEX_PARALLEL:
+        masked = np.zeros(n)
+        masked[frontier] = deg
+        work = serial(rows(masked))
+        if stage == "backward":
+            work *= 0.8
+        c = math.ceil(n / chunk) * costs.vertex_check + work
+        return (c + costs.launch) * costs.cycle_scale
+    if strategy == EDGE_PARALLEL:
+        c = math.ceil(m / chunk) * costs.edge_coalesced
+        c += ef / chunk * costs.atomic
+        return (c + costs.launch) * costs.cycle_scale
+    c = math.ceil(m / device_chunk) * costs.edge_coalesced
+    c += ef / device_chunk * costs.atomic
+    c += costs.launch * costs.gpu_fan_sync_multiplier
+    return c * costs.cycle_scale
+
+
+def _pricing_sweeps():
+    """``(name, graph, root, target weights)``: a one-vertex sweep (an
+    isolated root, no backward levels), a two-level star, a deep road
+    sweep and a folded Kronecker core with its target weights."""
+    from repro.bc.preprocess import fold_degree_one
+    from repro.graph.generators import kronecker_graph, road_network
+
+    fold = fold_degree_one(kronecker_graph(8, edge_factor=8, seed=5))
+    assert not fold.is_identity
+    return [
+        ("isolated", from_edges([(0, 1)], num_vertices=3), 2, None),
+        ("two-level", from_edges([(0, i) for i in range(1, 6)]), 0, None),
+        ("road", road_network(300, seed=11), 0, None),
+        ("folded-core", fold.core, 0, fold.core_weights),
+    ]
+
+
+class TestWholeSweepPricing:
+    """Every (stage, strategy) table priced for a whole sweep in one
+    call equals, exactly, the same sweep priced level by level."""
+
+    COST_MODELS = {"default": CostModel(),
+                   "no-imbalance": CostModel().without_imbalance(),
+                   "prefix-sum": CostModel(enqueue="prefix-sum")}
+
+    @pytest.mark.parametrize("cost_name", sorted(COST_MODELS))
+    @pytest.mark.parametrize("name,g,root,weights", _pricing_sweeps(),
+                             ids=[c[0] for c in _pricing_sweeps()])
+    def test_tables_equal_per_level_loop(self, cost_name, name, g, root,
+                                         weights):
+        costs = self.COST_MODELS[cost_name]
+        sweep = Sweep(g, forward_sweep(g, root), weights)
+        s, ends = sweep.s, sweep.ends
+        if name == "isolated":
+            assert ends.tolist() == [0, 1]
+        if name == "two-level":
+            assert ends.size == 3
+        for strategy in (WORK_EFFICIENT, EDGE_PARALLEL, VERTEX_PARALLEL,
+                         GPU_FAN):
+            for stage in ("forward", "backward"):
+                table = sweep.cycles(g, costs, stage, strategy, CHUNK, 1024)
+                want = [literal_level_cycles(costs, stage, strategy, g,
+                                             s[ends[d]:ends[d + 1]], CHUNK,
+                                             1024)
+                        for d in range(ends.size - 1)]
+                assert table.tolist() == want, (stage, strategy)
+
+    def test_replayed_trace_reads_the_tables(self, small_sw):
+        """A hybrid replay's levels carry the tables' entries exactly,
+        backward levels under their forward strategy."""
+        sweep = Sweep(small_sw, forward_sweep(small_sw, 5))
+        tr = charge_levels(small_sw, sweep, HybridPolicy(alpha=2, beta=10),
+                           COSTS, CHUNK)
+        assert len(tr.strategies_used()) == 2
+        for lv in tr.levels:
+            table = sweep.cycles(small_sw, COSTS, lv.stage, lv.strategy,
+                                 CHUNK, None)
+            assert lv.cycles == table[lv.depth]
+        assert tr.cycles == sum(lv.cycles for lv in tr.levels)
+
+    def test_errors_kept(self, path5):
+        sweep = Sweep(path5, forward_sweep(path5, 0))
+        with pytest.raises(StrategyError):
+            sweep.cycles(path5, COSTS, "forward", GPU_FAN, CHUNK, None)
+        with pytest.raises(ValueError):
+            sweep.cycles(path5, CostModel(enqueue="magic"), "forward",
+                         WORK_EFFICIENT, CHUNK, None)
+        with pytest.raises(StrategyError):
+            sweep.cycles(path5, COSTS, "forward", "batched", CHUNK, 1024)
+
+
+class TestReplayAllocations:
+    def test_fixed_replay_keeps_no_object_per_level(self):
+        """With metrics disabled, a replayed root is a handful of column
+        arrays however deep its sweep: the blocks a replay leaves
+        allocated do not grow with the level count."""
+        import tracemalloc
+
+        retained = {}
+        for n in (200, 2000):
+            g = from_edges([(i, i + 1) for i in range(n - 1)])
+            sweep = Sweep(g, forward_sweep(g, 0))
+            policy = FixedPolicy(WORK_EFFICIENT)
+            charge_levels(g, sweep, policy, COSTS, CHUNK)  # prices tables
+            tracemalloc.start()
+            try:
+                before = tracemalloc.take_snapshot()
+                trace = charge_levels(g, sweep, policy, COSTS, CHUNK)
+                after = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+            assert trace.depths.size == 2 * n - 2
+            retained[n] = sum(s.count_diff
+                              for s in after.compare_to(before, "filename"))
+        assert retained[2000] < 100
+        assert retained[2000] <= retained[200] + 10
 
 
 class TestCostCharging:

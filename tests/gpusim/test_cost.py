@@ -52,6 +52,23 @@ class TestWorkEfficientCosts:
         assert C.we_backward(deg, CHUNK) < C.we_forward(deg, CHUNK)
 
 
+class TestFractionalCosts:
+    """Chunk maxima are summed as floats: a fractional per-edge charge
+    is never floored on the load-imbalance path."""
+
+    def test_scattered_charge_kept(self):
+        c = CostModel(cycle_scale=1, edge_scattered=2.5, launch=0, queue_op=0)
+        assert c.we_forward([1], CHUNK) == 2.5
+        assert c.we_backward([1], CHUNK) == 2.0
+        assert c.vp_forward(1, [1], CHUNK) == 2.5 + c.vertex_check
+
+    def test_streamed_charge_kept(self):
+        c = CostModel(cycle_scale=1, edge_streamed=4.5, launch=0, queue_op=0)
+        assert c.we_forward([33], CHUNK) == 516.5
+        assert c.we_forward([33], CHUNK) == \
+            c.without_imbalance().we_forward([33], 1)
+
+
 class TestEdgeParallelCosts:
     def test_independent_of_frontier(self):
         a = C.ep_forward(100_000, 10, CHUNK)
@@ -89,8 +106,13 @@ class TestGPUFan:
         assert whole < one_sm
 
     def test_backward_equals_forward(self):
-        assert C.gpu_fan_backward(5000, 10, 1024) == \
-            C.gpu_fan_forward(5000, 10, 1024)
+        from repro.gpusim.cost import Levels
+
+        lv = Levels.one(np.full(10, 3))._replace(num_directed_edges=5000)
+        assert C.level_cycles("backward", "gpu-fan", lv, 256, 1024) == \
+            C.level_cycles("forward", "gpu-fan", lv, 256, 1024)
+        assert C.level_cycles("forward", "gpu-fan", lv, 256, 1024)[0] == \
+            C.gpu_fan_forward(5000, 30, 1024)
 
 
 class TestCrossoverShapes:

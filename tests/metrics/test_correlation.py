@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.gpusim.trace import LevelTrace, RootTrace
+from repro.gpusim.trace import RootTrace
 from repro.metrics.correlation import frontier_time_correlations, pearson
 
 
@@ -38,15 +38,9 @@ class TestPearson:
 
 class TestFrontierTimeCorrelations:
     def _trace(self):
-        rt = RootTrace(root=7)
-        for depth, (f, ef) in enumerate([(1, 4), (4, 12), (12, 30), (3, 8)]):
-            rt.add(LevelTrace(depth=depth, stage="forward",
-                              strategy="work-efficient", frontier_size=f,
-                              edge_frontier=ef, cycles=float(10 * f)))
-            rt.add(LevelTrace(depth=depth, stage="backward",
-                              strategy="work-efficient", frontier_size=f,
-                              edge_frontier=ef, cycles=1.0))
-        return rt
+        frontiers, edges = [1, 4, 12, 3], [4, 12, 30, 8]
+        return RootTrace.sweep(7, [0] * 4, frontiers, edges,
+                               [10.0 * f for f in frontiers], [1.0] * 4)
 
     def test_row(self):
         row = frontier_time_correlations(self._trace(), graph_name="g")
@@ -58,4 +52,4 @@ class TestFrontierTimeCorrelations:
 
     def test_backward_levels_excluded(self):
         row = frontier_time_correlations(self._trace())
-        assert row.num_levels == 4  # not 8
+        assert row.num_levels == 4  # not 6

@@ -14,8 +14,10 @@ from repro.observability import MetricsRegistry, dumps, run_profile
 @pytest.fixture
 def device_run(small_sw):
     metrics = MetricsRegistry()
+    # Small thresholds, so the hybrid roots mix strategies.
     run = Device().run_bc(small_sw, strategy="hybrid",
-                          roots=np.arange(12), metrics=metrics)
+                          roots=np.arange(12), metrics=metrics,
+                          alpha=2, beta=10)
     return small_sw, run, metrics
 
 
@@ -39,9 +41,12 @@ class TestRunProfile:
                 assert row["cycles"] == lv.cycles
 
     def test_forward_frontiers_match_metrics_counters(self, device_run):
-        """The engine.* counters and the trace describe the same sweep,
-        forward and backward, on the per-root engine (hybrid) and on
-        the batched frontier-matrix path alike."""
+        """The engine.* counters and the frontier-size histogram and the
+        trace describe the same sweep, forward and backward, on the
+        per-root engine (hybrid, whose roots mix strategies) and on the
+        batched frontier-matrix path alike."""
+        from repro.observability.registry import Histogram
+
         _, hybrid, hybrid_metrics = device_run
         g = make_dataset("kron_g500-logn20", scale_factor=1024)
         batched_metrics = MetricsRegistry()
@@ -49,8 +54,19 @@ class TestRunProfile:
                                   roots=np.arange(16), n_samps=4,
                                   batch_size=4, metrics=batched_metrics)
         assert batched.sampling_chose_edge_parallel  # the batches ran
+        assert any(len(rt.strategies_used()) > 1 for rt in hybrid.trace.roots)
         for run, metrics in ((hybrid, hybrid_metrics),
                              (batched, batched_metrics)):
+            (hist,) = [h for h in metrics.histograms()
+                       if h.name == "engine.frontier_size"]
+            want = Histogram("engine.frontier_size", {}, hist.buckets)
+            for rt in run.trace.roots:
+                for lv in rt.levels:
+                    if lv.stage == "forward":
+                        want.observe(lv.frontier_size)
+            assert hist.labels == {"stage": "forward"}
+            assert (hist.counts, hist.count, hist.total) == \
+                (want.counts, want.count, want.total)
             for stage in ("forward", "backward"):
                 levels = [lv for rt in run.trace.roots for lv in rt.levels
                           if lv.stage == stage]

@@ -299,3 +299,35 @@ def test_journal_is_single_source_of_truth_for_status(tmp_path):
     assert not torn
     offline = replay_state(records, str(root / "journal.jsonl"))
     assert offline.jobs["j000001"].status_dict() == rows[0]
+
+
+def test_daemon_registry_keeps_no_event_log(tmp_path):
+    """Churn: a few hundred jobs, half repeating earlier content, under
+    small journal and cache budgets.  The daemon's long-lived registry
+    keeps counting but holds no event log, so its memory does not grow
+    with jobs served; a library run's own registry keeps its events."""
+    from repro.graph.generators.suite import make_dataset
+    from repro.gpusim import Device
+
+    strategies = ("sampling", "work-efficient", "hybrid", "edge-parallel")
+    with BCService(tmp_path / "svc", journal_max_segment_bytes=16384,
+                   journal_keep_terminal=8, cache_max_bytes=32768) as svc:
+        fresh = []
+        for i in range(300):
+            if i % 2 and fresh:
+                job = fresh[(7 * i) % len(fresh)]
+            else:
+                job = spec(scale_factor=1024, seed=10_000 + i,
+                           strategy=strategies[len(fresh) % 4])
+                fresh.append(job)
+            svc.submit(job)
+            svc.run_pending()
+        done = sum(c.value for c in svc.metrics.counters()
+                   if c.name == "service.jobs_done")
+        assert done == len(fresh)
+        assert svc.metrics.counter("engine.roots").value > 0
+        assert svc.metrics.events == []
+    metrics = MetricsRegistry()
+    Device().run_bc(make_dataset("smallworld", scale_factor=1024),
+                    strategy="hybrid", roots=[0, 1], metrics=metrics)
+    assert any(e["event"] == "decision.step" for e in metrics.events)

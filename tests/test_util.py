@@ -75,6 +75,10 @@ class TestChunkMaxSum:
     def test_empty(self):
         assert chunk_max_sum(np.array([]), 4) == 0
 
+    def test_fractional_weights_not_floored(self):
+        assert chunk_max_sum(np.array([0.5, 1.0, 0.25]), 1) == 1.75
+        assert chunk_max_sum(np.array([0.5, 1.5, 0.25]), 2) == 1.75
+
     def test_bad_chunk(self):
         with pytest.raises(ValueError):
             chunk_max_sum(np.array([1]), 0)
